@@ -40,15 +40,17 @@ import numpy as np
 from .errors import InsufficientDataError, UnsupportedOrderError
 from .kernel import (
     CHAIN_TABLE_MAX,
+    _pt_codes,
+    _qubit_mask,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
     factors_from_codes,
-    pt_flip,
+    pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
     subset_index_chunks,
 )
-from .sampler import ShadowRecord, Snapshot, snapshot_matrix
+from .sampler import ShadowRecord, Snapshot, codes_matrix, snapshot_matrix
 from .states import MAX_DENSE_QUBITS, Bipartition, partial_transpose
 from .errors import CapacityError
 
@@ -209,6 +211,35 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
     return _finish(order, shots, total / math.comb(n_batches, order), dropped)
 
 
+class _RecordCodes:
+    """Transposed codes of a growing record, encoded as shots arrive.
+
+    :meth:`sync` encodes only the shots appended to the record since the
+    previous call (the whole record on the first call, e.g. one restored
+    from a checkpoint) and returns the codes of every shot so far.
+    """
+
+    def __init__(self, record: ShadowRecord, part: tuple[int, ...]):
+        self._record = record
+        self._part = part
+        self._codes = np.empty((0, record.n_qubits), dtype=np.uint8)
+        self._len = 0
+
+    def sync(self) -> np.ndarray:
+        total = len(self._record)
+        if total > self._len:
+            fresh = snapshot_codes(
+                self._record.axes[self._len :], self._record.bits[self._len :], self._part
+            )
+            if total > self._codes.shape[0]:
+                grown = np.empty((max(16, 2 * total), self._codes.shape[1]), dtype=np.uint8)
+                grown[: self._len] = self._codes[: self._len]
+                self._codes = grown
+            self._codes[self._len : total] = fresh
+            self._len = total
+        return self._codes[:total]
+
+
 class OnlineRecordEstimator:
     """Streaming U-statistic that retains only the classical record.
 
@@ -236,6 +267,7 @@ class OnlineRecordEstimator:
         elif record.n_qubits != n_qubits:
             raise ValueError("resume record has the wrong qubit count")
         self._record = record
+        self._codes = _RecordCodes(record, self._part)
         self._sum = complex(running_sum)
 
     @property
@@ -260,8 +292,7 @@ class OnlineRecordEstimator:
 
     def update(self, snapshot: Snapshot) -> None:
         self._record.append(snapshot)
-        codes = snapshot_codes(self._record.axes, self._record.bits, self._part)
-        self._absorb_latest(codes)
+        self._absorb_latest(self._codes.sync())
 
     def _absorb_latest(self, codes: np.ndarray) -> None:
         """Add the fresh tuple sum for the newest shot; codes cover the
@@ -294,6 +325,11 @@ class AccumulatorSet:
     matrix additions and ``order - 1`` multiplications regardless of how
     many shots came before, and every order up to ``order`` can be read
     off the same set; the snapshot itself is discarded after use.
+
+    An update transposes the snapshot on its codes (a Y-basis bit flips
+    on each transposed qubit, as in :func:`snapshot_codes`) and builds
+    the dense matrix with :func:`codes_matrix`; no transposed
+    :class:`Snapshot` is created.
     """
 
     def __init__(
@@ -312,6 +348,7 @@ class AccumulatorSet:
             )
         self._m = order
         self._part = _normalize_part(part, n_qubits)
+        self._mask = _qubit_mask(self._part, n_qubits)
         self._n = n_qubits
         dim = 2**n_qubits
         if matrices is None:
@@ -352,7 +389,7 @@ class AccumulatorSet:
             raise ValueError(
                 f"snapshot has {snapshot.n_qubits} qubits, accumulator has {self._n}"
             )
-        dense = snapshot_matrix(pt_flip(snapshot, self._part))
+        dense = codes_matrix(_pt_codes(snapshot.axes, snapshot.bits, self._mask))
         mats = self._matrices
         for k in range(self._m - 1, 0, -1):
             mats[k] += mats[k - 1] @ dense
@@ -413,6 +450,7 @@ class MomentStream:
             self._acc = AccumulatorSet(self._top, self._part, n_qubits)
         elif strategy == "online-norecon":
             self._record = ShadowRecord(n_qubits)
+            self._codes = _RecordCodes(self._record, self._part)
             self._norecon = {
                 m: OnlineRecordEstimator(m, self._part, n_qubits, record=self._record)
                 for m in orders
@@ -440,7 +478,7 @@ class MomentStream:
         elif self.strategy == "online-norecon":
             self._record.append(snapshot)
             if self._norecon:
-                codes = snapshot_codes(self._record.axes, self._record.bits, self._part)
+                codes = self._codes.sync()
                 for est in self._norecon.values():
                     est._absorb_latest(codes)
         elif self.strategy == "plugin":

@@ -102,11 +102,12 @@ def transposed_factors(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     ``axes`` and ``bits`` are ``(T, N)`` code arrays (one row per shot);
     the result has shape ``(T, N, 2, 2)``.
     """
-    axes = np.asarray(axes)
-    bits = np.asarray(bits)
-    mask = _qubit_mask(part, axes.shape[1])
-    effective = bits ^ ((axes == AXIS_Y) & mask[None, :])
-    return FACTORS[axes, effective.astype(np.uint8)]
+    return factors_from_codes(snapshot_codes(axes, bits, part))
+
+
+def _pt_codes(axes: np.ndarray, bits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``2 * axis + (bit XOR (axis is Y and the qubit is in mask))`` as uint8."""
+    return (2 * axes + (bits ^ ((axes == AXIS_Y) & mask))).astype(np.uint8)
 
 
 def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
@@ -119,9 +120,7 @@ def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     """
     axes = np.asarray(axes)
     bits = np.asarray(bits)
-    mask = _qubit_mask(part, axes.shape[1])
-    effective = bits ^ ((axes == AXIS_Y) & mask[None, :])
-    return (2 * axes + effective).astype(np.uint8)
+    return _pt_codes(axes, bits, _qubit_mask(part, axes.shape[1]))
 
 
 def factors_from_codes(codes: np.ndarray) -> np.ndarray:
@@ -225,7 +224,9 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
 
     Each block is an ``(r, k)`` int64 array.  Sizes 1 and 2 are built
     directly in numpy since those dominate streaming updates; larger
-    sizes fall back to ``itertools.combinations``.
+    sizes fall back to ``itertools.combinations``.  Block boundaries
+    depend only on ``(n, k, rows)``, which fixes the reduction order of
+    sums taken block by block.
     """
     if k < 0 or k > n:
         return
@@ -237,17 +238,20 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
             yield np.arange(lo, min(lo + rows, n), dtype=np.int64)[:, None]
         return
     if k == 2:
-        buffered: list[np.ndarray] = []
-        size = 0
-        for i in range(n - 1):
-            tail = np.arange(i + 1, n, dtype=np.int64)
-            buffered.append(np.column_stack([np.full(tail.size, i, dtype=np.int64), tail]))
-            size += tail.size
-            if size >= rows:
-                yield np.concatenate(buffered)
-                buffered, size = [], 0
-        if buffered:
-            yield np.concatenate(buffered)
+        # Pairs (i, j) grouped by first index i; a block ends with the
+        # first whole group that brings it to at least ``rows`` pairs.
+        sizes = np.arange(n - 1, 0, -1, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        first, done = 0, 0
+        while first < n - 1:
+            last = min(max(int(np.searchsorted(ends, done + rows)), first), n - 2)
+            counts = sizes[first : last + 1]
+            heads = np.repeat(np.arange(first, last + 1, dtype=np.int64), counts)
+            # Within group i the second index runs from i + 1 upward.
+            starts = np.repeat(ends[first : last + 1] - counts - done, counts)
+            tails = np.arange(heads.size, dtype=np.int64) - starts + heads + 1
+            yield np.column_stack([heads, tails])
+            first, done = last + 1, int(ends[last])
         return
     iterator = itertools.combinations(range(n), k)
     while True:

@@ -659,6 +659,28 @@ def _check_online_equals_offline() -> tuple[bool, str]:
     return worst < 1e-9, f"max relative deviation {worst:.2e}"
 
 
+def _check_born_sampler() -> tuple[bool, str]:
+    import itertools
+
+    # U_a maps the P_a eigenbasis to the computational basis, so the
+    # diagonal of U rho U^dag holds the Born probabilities; for Y, U is
+    # "S^dag then H".
+    hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    rotations = (hadamard, hadamard @ np.diag([1.0, -1.0j]), np.eye(2))
+    rng = np.random.Generator(np.random.Philox(key=31))
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    sampler = BornSampler(DensityMatrix(rho))
+    worst = 0.0
+    bases = list(itertools.product(range(3), repeat=3))
+    for axes in bases:
+        u = functools.reduce(np.kron, [rotations[a] for a in axes])
+        dense = np.real(np.diag(u @ rho @ u.conj().T))
+        worst = max(worst, float(np.max(np.abs(sampler.probabilities(axes) - dense))))
+    return worst <= 1e-14, f"{len(bases)} bases, max deviation {worst:.2e}"
+
+
 def _check_replay_determinism() -> tuple[bool, str]:
     rho = werner_state(2, 5.0 / 6.0)
     one = stream_shadows(rho, 400, 17)
@@ -674,6 +696,7 @@ _BATTERY = [
     ("kernel-path-agreement", _check_kernel_agreement),
     ("online-equals-offline", _check_online_equals_offline),
     ("replay-determinism", _check_replay_determinism),
+    ("born-sampler-agreement", _check_born_sampler),
 ]
 
 

@@ -18,6 +18,7 @@ record.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +38,7 @@ __all__ = [
     "ShadowRecord",
     "inverse_channel_factor",
     "snapshot_matrix",
+    "codes_matrix",
     "shot_rng",
     "sample_snapshot",
     "iter_snapshots",
@@ -56,17 +58,16 @@ _PAULIS = np.array(
     dtype=np.complex128,
 )
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-
-# Rotation U_a maps the P_a eigenbasis to the computational basis, so
-# diag(U rho U^dag) gives the Born probabilities of the basis outcomes.
-# For Y this is "S^dag then H", sending |+y> to |0> and |-y> to |1>.
-_ROTATIONS = np.stack(
+# Per-qubit map from a 2x2 block (r00, r01, r10, r11) of an operator to
+# tr(block @ P) for P = I, X, Y, Z; tr(r P) sums r_ij P_ji.
+_PAULI_MAP = np.array(
     [
-        _HADAMARD,
-        _HADAMARD @ np.diag([1.0, -1.0j]),
-        np.eye(2, dtype=np.complex128),
-    ]
+        [1, 0, 0, 1],
+        [0, 1, 1, 0],
+        [0, 1j, -1j, 0],
+        [1, 0, 0, -1],
+    ],
+    dtype=np.complex128,
 )
 
 # FACTORS[a, b] = I/2 + (3/2) (-1)^b P_a, indexed by axis then outcome bit.
@@ -146,11 +147,51 @@ def snapshot_matrix(snapshot: Snapshot) -> np.ndarray:
     """Dense reconstruction of a snapshot: the Kronecker product of its factors.
 
     The result is Hermitian with unit trace but far from positive; only
-    averages of many snapshots approach a physical state.
+    averages of many snapshots approach a physical state.  Built by
+    :func:`codes_matrix` from the snapshot's codes ``2 * axis + bit``.
     """
-    out = FACTORS[snapshot.axes[0], snapshot.bits[0]]
-    for a, b in zip(snapshot.axes[1:], snapshot.bits[1:]):
-        out = np.kron(out, FACTORS[a, b])
+    return codes_matrix(2 * snapshot.axes + snapshot.bits)
+
+
+@functools.cache
+def _pair_blocks() -> np.ndarray:
+    """``np.kron(F[c0], F[c1])`` for every pair of factor codes, at ``6 * c0 + c1``.
+
+    36 read-only 4x4 blocks (9 KB), built on first use.
+    """
+    flat = FACTORS.reshape(6, 2, 2)
+    blocks = (flat[:, None, :, None, :, None] * flat[None, :, None, :, None, :]).reshape(36, 4, 4)
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def codes_matrix(codes) -> np.ndarray:
+    """Dense reconstruction from six-valued per-qubit codes (``2 * axis + bit``).
+
+    Consecutive qubits are read as 2-qubit blocks from a 36-entry table
+    and joined with Kronecker products.  Every factor entry is 0, 0.5,
+    2, -1 or +-1.5 times 1 or i, so all products are exact and the
+    result equals the qubit-by-qubit ``np.kron`` chain under ``==``.
+    Only the signs of zero entries can differ, and no running sum that
+    starts from +0 can see those.  The result may be a read-only view
+    into the table.
+    """
+    codes = np.asarray(codes, dtype=np.intp)
+    if codes.ndim != 1 or codes.size == 0:
+        raise ValueError(f"expected a nonempty 1-d code array, got shape {codes.shape}")
+    n = codes.size
+    blocks = _pair_blocks()
+    out = None
+    for lo in range(0, n, 2):
+        if lo + 1 < n:
+            block = blocks[6 * codes[lo] + codes[lo + 1]]
+        else:
+            block = FACTORS[codes[lo] >> 1, codes[lo] & 1]
+        out = block if out is None else _kron(out, block)
     return out
 
 
@@ -167,22 +208,58 @@ def shot_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
+def _pauli_expectations(rho: DensityMatrix) -> np.ndarray:
+    """``tr(rho P_s)`` for all 4**N Pauli strings, as float64.
+
+    String ``s`` has digit ``p_q`` (0..3 for I, X, Y, Z) at place
+    ``4**(N-1-q)``.  Computed by one 4x4 map per qubit over the
+    entries of ``rho``; the values are real because ``rho`` is Hermitian.
+    """
+    n = rho.n_qubits
+    legs = rho.entries.reshape((2,) * (2 * n))
+    # Interleave row and column legs so qubit q owns the pair (i_q, j_q).
+    order = [axis for q in range(n) for axis in (q, n + q)]
+    t = legs.transpose(order).reshape((4,) * n)
+    for q in range(n):
+        t = _PAULI_MAP @ t.reshape(4**q, 4, -1)
+    return np.ascontiguousarray(t.real).reshape(-1)
+
+
+def _walsh_hadamard(values: np.ndarray) -> None:
+    """In-place unnormalized Walsh-Hadamard transform of a length-2**N vector."""
+    for q in range(values.size.bit_length() - 1):
+        pairs = values.reshape(1 << q, 2, -1)
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = low + high
+        np.subtract(low, high, out=high)
+        low[...] = total
+
+
 class BornSampler:
     """Samples snapshots from a fixed state, caching per-basis distributions.
 
-    For each distinct axis combination the diagonal of ``U rho U^dag``
-    is computed once (via successive single-qubit rotations) and the
-    cumulative distribution reused; the cache is skipped above 8 qubits
-    where 3**N tables could dominate memory.
+    The sampler keeps the real table of all 4**N Pauli expectations
+    ``tr(rho P_s)`` instead of ``rho``.  Outcome ``b`` in basis ``a`` has
+    probability ``2**-N sum_S (-1)**(b.S) tr(rho P_a[S])`` over qubit
+    subsets ``S``, so a basis's distribution is the Walsh-Hadamard
+    transform of the 2**N expectations of its ``{I, P_a}`` strings.  Each
+    distinct axis combination's cumulative distribution is computed once
+    and reused; the cache is skipped above 8 qubits where 3**N tables
+    could dominate memory.
     """
 
     def __init__(self, rho: DensityMatrix, check_physical: bool = True):
         if check_physical:
             rho.assert_physical()
-        self._entries = rho.entries
-        self._n = rho.n_qubits
-        self._shifts = np.arange(self._n - 1, -1, -1, dtype=np.uint64)
-        self._cache: dict[bytes, np.ndarray] | None = {} if self._n <= 8 else None
+        n = rho.n_qubits
+        self._n = n
+        self._expectations = _pauli_expectations(rho)
+        self._shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+        # Row S, column q: the place value 4**(N-1-q) of qubit q when S
+        # contains it (qubit 0 is the most significant bit of S), else 0.
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._places = ((np.arange(1 << n)[:, None] >> shifts) & 1) * 4**shifts
+        self._cache: dict[bytes, np.ndarray] | None = {} if n <= 8 else None
 
     @property
     def n_qubits(self) -> int:
@@ -198,15 +275,9 @@ class BornSampler:
     def _cdf(self, key: bytes, axes: np.ndarray):
         if self._cache is not None and key in self._cache:
             return self._cache[key]
-        n, dim = self._n, 1 << self._n
-        t = self._entries.reshape((2,) * (2 * n))
-        for q in range(n):
-            u = _ROTATIONS[axes[q]]
-            t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-        for q in range(n):
-            u = _ROTATIONS[axes[q]].conj()
-            t = np.moveaxis(np.tensordot(t, u, axes=([n + q], [1])), -1, n + q)
-        probs = np.real(np.diagonal(t.reshape(dim, dim))).copy()
+        probs = self._expectations[self._places @ (axes.astype(np.int64) + 1)]
+        _walsh_hadamard(probs)
+        probs *= 0.5**self._n
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum()
         entry = (probs, np.cumsum(probs))
@@ -393,9 +464,14 @@ class ShadowRecord:
             raise ValueError(f"not a shadow record (bad magic {magic!r})")
         if version != cls._VERSION:
             raise ValueError(f"unsupported shadow record version {version}")
-        offset = cls._HEADER.size
-        descriptor = blob[offset : offset + desc_len].decode("utf-8")
-        offset += desc_len
+        offset = cls._HEADER.size + desc_len
+        expected = offset + -(-3 * count * n // 8)
+        if len(blob) != expected:
+            raise ValueError(
+                f"shadow record of {count} shots on {n} qubits needs {expected} bytes, "
+                f"got {len(blob)}"
+            )
+        descriptor = blob[cls._HEADER.size : offset].decode("utf-8")
         raw = np.unpackbits(
             np.frombuffer(blob, dtype=np.uint8, offset=offset), count=count * n * 3
         ).reshape(count, n, 3)

@@ -1,5 +1,6 @@
 """Estimator correctness, streaming identities, and checkpointing."""
 
+import functools
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from shadowstream import (
     AccumulatorSet,
     Bipartition,
     CapacityError,
+    DensityMatrix,
     InsufficientDataError,
     MomentStream,
     OnlineRecordEstimator,
@@ -28,6 +30,8 @@ from shadowstream import (
     ustat_offline,
     werner_state,
 )
+from shadowstream.kernel import pt_flip
+from shadowstream.sampler import FACTORS
 from shadowstream.states import partial_transpose
 
 PART = (1,)
@@ -167,7 +171,65 @@ class TestOnlineRecordEstimator:
         assert online.estimate().well_defined
 
 
+class TestIncrementalCodes:
+    @pytest.fixture
+    def encoded_rows(self, monkeypatch):
+        """Row counts of every ``snapshot_codes`` call the estimators make."""
+        rows = []
+        original = shadowstream.estimators.snapshot_codes
+
+        def counting(axes, bits, part):
+            rows.append(len(axes))
+            return original(axes, bits, part)
+
+        monkeypatch.setattr(shadowstream.estimators, "snapshot_codes", counting)
+        return rows
+
+    def test_each_shot_is_encoded_once(self, record, encoded_rows):
+        stream = MomentStream("online-norecon", (2, 3), PART, 2)
+        online = OnlineRecordEstimator(3, PART, 2)
+        for snap in list(record)[:30]:
+            stream.update(snap)
+            online.update(snap)
+        assert encoded_rows == [1] * 60
+        assert online.estimate().value == ustat_offline(record[:30], 3, PART).value
+
+    def test_restored_record_is_encoded_once(self, record, tmp_path, encoded_rows):
+        full = OnlineRecordEstimator(3, PART, 2)
+        for snap in list(record)[:17]:
+            full.update(snap)
+        path = tmp_path / "online.ckpt"
+        save_estimator_state(full, path)
+        resumed = load_estimator_state(path)
+        encoded_rows.clear()
+        for snap in list(record)[17:22]:
+            full.update(snap)
+            resumed.update(snap)
+        assert encoded_rows == [1, 18, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert resumed.running_sum == full.running_sum
+
+
 class TestAccumulatorSet:
+    @pytest.mark.parametrize("n,part", [(2, PART), (3, (0, 2)), (4, (1, 3))])
+    def test_bitwise_equal_to_kron_chain_updates(self, n, part):
+        """Code-table updates reproduce the dense ``np.kron`` reference
+        updates bit for bit, zero signs included in every sum."""
+        # A Werner pair followed by maximally mixed qubits.
+        pair = werner_state(2, 5.0 / 6.0).entries
+        rho = DensityMatrix(functools.reduce(np.kron, [pair] + [np.eye(2) / 2] * (n - 2)))
+        acc = AccumulatorSet(3, part, n)
+        mats = np.zeros((3, 2**n, 2**n), dtype=np.complex128)
+        for snap in stream_shadows(rho, 120, seed=n):
+            flipped = pt_flip(snap, part)
+            dense = functools.reduce(
+                np.kron, [FACTORS[a, b] for a, b in zip(flipped.axes, flipped.bits)]
+            )
+            for k in (2, 1):
+                mats[k] += mats[k - 1] @ dense
+            mats[0] += dense
+            acc.update(snap)
+        assert acc.matrices.tobytes() == mats.tobytes()
+
     def test_all_orders_match_offline(self, record):
         acc = AccumulatorSet(4, PART, 2)
         for snap in list(record)[:25]:

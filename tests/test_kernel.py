@@ -222,6 +222,35 @@ class TestSubsetEnumeration:
         ]
         assert got == list(itertools.combinations(range(n), k))
 
+    @staticmethod
+    def _reference_pair_blocks(n, rows):
+        """Pairs from ``itertools.combinations``, cut after the first whole
+        group of equal first index that brings a block to >= rows pairs."""
+        blocks, current = [], []
+        pairs = itertools.combinations(range(n), 2)
+        for _, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+            current.extend(group)
+            if len(current) >= rows:
+                blocks.append(current)
+                current = []
+        if current:
+            blocks.append(current)
+        return [np.array(block, dtype=np.int64) for block in blocks]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 64, 401])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 9, 10, 11, 64, 1 << 16])
+    def test_pair_blocks_match_reference(self, n, rows):
+        got = list(subset_index_chunks(n, 2, rows=rows))
+        want = self._reference_pair_blocks(n, rows)
+        assert len(got) == len(want)
+        for block, expected in zip(got, want):
+            assert block.dtype == np.int64 and block.shape == expected.shape
+            assert np.array_equal(block, expected)
+
+    def test_pair_block_boundaries_at_default_rows(self):
+        shapes = [block.shape for block in subset_index_chunks(400, 2)]
+        assert shapes == [(65604, 2), (14196, 2)]
+
     def test_lexicographic_order_large(self):
         chunks = list(subset_index_chunks(40, 2, rows=64))
         stacked = np.concatenate(chunks)

@@ -339,5 +339,13 @@ class TestCli:
     def test_verification_battery(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
+        assert "[PASS] born-sampler-agreement: 27 bases" in out
         assert "[FAIL]" not in out
+
+    def test_readme_demo_stop_shot(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        argv = ["run", "--seed", "7", "--shots", "4000", "--orders", "2,3"]
+        argv += ["--strategy", "online-recon", "--out", str(out)]
+        assert main(argv) == 0
+        assert "run 0: stop=2138 first_negative_order=3" in capsys.readouterr().out

@@ -1,5 +1,9 @@
 """Measurement simulation, snapshots, and record (de)serialization."""
 
+import functools
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,14 @@ from shadowstream import (
     stream_shadows,
     werner_state,
 )
-from shadowstream.sampler import AXIS_X, AXIS_Y, AXIS_Z, FACTORS, inverse_channel_factor
+from shadowstream.sampler import (
+    AXIS_X,
+    AXIS_Y,
+    AXIS_Z,
+    FACTORS,
+    codes_matrix,
+    inverse_channel_factor,
+)
 
 PAULIS = {
     AXIS_X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -30,6 +41,21 @@ def random_state(n_qubits, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho))
+
+
+def kron_chain(codes):
+    """The qubit-by-qubit ``np.kron`` reference for a dense snapshot."""
+    return functools.reduce(np.kron, [FACTORS[c >> 1, c & 1] for c in codes])
+
+
+# U_a maps the P_a eigenbasis to the computational basis ("S^dag then H"
+# for Y), so diag(U rho U^dag) holds the Born probabilities of basis a.
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+ROTATIONS = {
+    AXIS_X: _HADAMARD,
+    AXIS_Y: _HADAMARD @ np.diag([1.0, -1.0j]),
+    AXIS_Z: np.eye(2, dtype=complex),
+}
 
 
 def basis_projector(axis, bit):
@@ -134,6 +160,31 @@ class TestSnapshot:
             assert np.trace(snapshot_matrix(snap)) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestCodesMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_code_matches_kron_chain(self, n):
+        for codes in itertools.product(range(6), repeat=n):
+            assert np.array_equal(codes_matrix(codes), kron_chain(codes))
+
+    @pytest.mark.parametrize("n,count", [(6, 40), (8, 10)])
+    def test_sampled_codes_match_kron_chain(self, n, count):
+        rng = np.random.default_rng(n)
+        for codes in rng.integers(0, 6, size=(count, n)):
+            assert np.array_equal(codes_matrix(codes), kron_chain(codes))
+
+    def test_snapshot_matrix_reads_the_codes(self):
+        snap = Snapshot("XYZ", [1, 0, 1])
+        assert np.array_equal(snapshot_matrix(snap), kron_chain([1, 2, 5]))
+
+    def test_table_views_are_read_only(self):
+        block = codes_matrix([3, 4])
+        assert not block.flags.writeable
+
+    def test_rejects_empty_codes(self):
+        with pytest.raises(ValueError):
+            codes_matrix([])
+
+
 class TestShotRng:
     def test_reproducible_per_index(self):
         a = shot_rng(99, 5).random(4)
@@ -203,6 +254,19 @@ class TestBornSampler:
         for i in range(shots):
             total += snapshot_matrix(sampler.sample(shot_rng(12345, i)))
         assert np.abs(total / shots - rho.entries).max() < 0.15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_basis_matches_dense_rotation(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(2):
+            rho = random_state(n, rng)
+            sampler = BornSampler(rho)
+            for axes in itertools.product(range(3), repeat=n):
+                u = functools.reduce(np.kron, [ROTATIONS[a] for a in axes])
+                dense = np.real(np.diag(u @ rho.entries @ u.conj().T))
+                np.testing.assert_allclose(
+                    sampler.probabilities(axes), dense, rtol=0, atol=1e-14
+                )
 
     def test_sample_snapshot_helper(self):
         rho = werner_state(2, 0.5)
@@ -279,6 +343,18 @@ class TestShadowRecord:
         with pytest.raises(ValueError, match="short"):
             ShadowRecord.from_bytes(b"\x00")
 
+    def test_from_bytes_rejects_truncated_payload(self):
+        blob = stream_shadows(werner_state(2, 0.5), 200, seed=3).to_bytes()
+        for cut in (1, 5, 150):
+            with pytest.raises(ValueError, match="needs"):
+                ShadowRecord.from_bytes(blob[:-cut])
+
+    def test_from_bytes_rejects_trailing_bytes(self):
+        blob = stream_shadows(werner_state(2, 0.5), 200, seed=3).to_bytes()
+        for junk in (b"\x00", b"junk"):
+            with pytest.raises(ValueError, match="needs"):
+                ShadowRecord.from_bytes(blob + junk)
+
     def test_unsupported_version(self):
         blob = bytearray(stream_shadows(werner_state(2, 0.5), 2, seed=0).to_bytes())
         blob[4] = 99
@@ -296,6 +372,22 @@ class TestStreaming:
         base = stream_shadows(rho, 151, 13)
         for workers in (2, 4):
             assert stream_shadows(rho, 151, 13, workers=workers) == base
+
+    # SHA-256 of stream_shadows(werner_state(n, t), 2000, 20261018 + n)
+    # as produced by the rotation-based sampler these records were first
+    # generated with; a faster sampler must reproduce every byte.
+    @pytest.mark.parametrize(
+        "n,t,digest",
+        [
+            (2, 0.8333, "f04883bad21ea2af31a87474b6ad0861c0f9de6337d03120a65f3c5360a60928"),
+            (4, 0.3, "dba619659387d25d58c3e7f21b73b41091bf13c18e5f8bb313bd884afd76faba"),
+            (6, 0.5, "4e94f82cc5eab68715b8e0e1a01a49eec46328542758c31cf8d7f63392abbee6"),
+            (8, 0.5, "b59723fe5c67598f171ed7a4000c1b440f22612cdf27177dc21b7bb408f027e1"),
+        ],
+    )
+    def test_pinned_record_bytes(self, n, t, digest):
+        record = stream_shadows(werner_state(n, t), 2000, 20261018 + n)
+        assert hashlib.sha256(record.to_bytes()).hexdigest() == digest
 
     def test_iterator_matches_stream(self):
         rho = werner_state(2, 0.8)
