@@ -245,12 +245,16 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
         first, done = 0, 0
         while first < n - 1:
             last = min(max(int(np.searchsorted(ends, done + rows)), first), n - 2)
+            groups = np.arange(first, last + 1, dtype=np.int64)
             counts = sizes[first : last + 1]
-            heads = np.repeat(np.arange(first, last + 1, dtype=np.int64), counts)
-            # Within group i the second index runs from i + 1 upward.
-            starts = np.repeat(ends[first : last + 1] - counts - done, counts)
-            tails = np.arange(heads.size, dtype=np.int64) - starts + heads + 1
-            yield np.column_stack([heads, tails])
+            block = np.empty((int(ends[last]) - done, 2), dtype=np.int64)
+            block[:, 0] = np.repeat(groups, counts)
+            # Group i starts at row ends[i] - counts[i] - done of the block
+            # and its second index runs from i + 1 upward.  Written in place,
+            # so the paused generator holds no block-sized temporaries.
+            block[:, 1] = np.arange(block.shape[0], dtype=np.int64)
+            block[:, 1] += np.repeat(groups + 1 - (ends[first : last + 1] - counts - done), counts)
+            yield block
             first, done = last + 1, int(ends[last])
         return
     iterator = itertools.combinations(range(n), k)
