@@ -25,12 +25,19 @@ memory / cost / bias plane:
     transposed snapshots.  Constant-time updates, 2**N memory, and the
     same value as the offline U-statistic at every order up to m.
 
-A :class:`MomentStream` bundles one strategy with a set of orders so a
-runner can push shots and pull per-order estimates uniformly.
+:class:`MomentStream` puts one strategy behind a shot-by-shot interface.
+A strategy is an object with a ``streaming`` flag, ``update(snapshot)``
+and ``estimate(order)``, built by the factory that ``_STRATEGIES`` maps
+its name to: ``online-recon`` is an :class:`AccumulatorSet`;
+``online-norecon`` a ``_RecordSums`` (one shared record, one running sum
+per order; the engine of :class:`OnlineRecordEstimator`); ``plugin`` a
+``_PluginSum`` (the engine of :func:`plugin_estimate`); ``ustat`` and
+``batched`` a ``_RetainedRecord`` that reruns the offline function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -41,7 +48,7 @@ from .errors import InsufficientDataError, UnsupportedOrderError
 from .kernel import (
     CHAIN_TABLE_MAX,
     _pt_codes,
-    _qubit_mask,
+    _transpose_mask,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -51,7 +58,7 @@ from .kernel import (
     subset_index_chunks,
 )
 from .sampler import ShadowRecord, Snapshot, codes_matrix, snapshot_matrix
-from .states import MAX_DENSE_QUBITS, Bipartition, partial_transpose
+from .states import MAX_DENSE_QUBITS, _part_qubits, partial_transpose
 from .errors import CapacityError
 
 __all__ = [
@@ -88,17 +95,9 @@ class MomentEstimate:
     dropped_shots: int = 0
 
 
-def _normalize_part(part, n_qubits: int) -> tuple[int, ...]:
-    if isinstance(part, Bipartition):
-        if part.n_qubits != n_qubits:
-            raise ValueError(
-                f"bipartition is over {part.n_qubits} qubits, estimator over {n_qubits}"
-            )
-        return part.transposed
-    qubits = tuple(sorted(set(int(q) for q in part)))
-    if any(q < 0 or q >= n_qubits for q in qubits):
-        raise ValueError(f"qubit indices {qubits} out of range for {n_qubits} qubits")
-    return qubits
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"moment order must be >= 1, got {order}")
 
 
 def _undefined(order: int, shots: int) -> MomentEstimate:
@@ -138,8 +137,7 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     of the record, so the result is an unbiased estimate of the m-th
     moment.  Needs at least ``order`` shots.
     """
-    if order < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    _check_order(order)
     shots = len(record)
     if shots < order:
         raise InsufficientDataError(
@@ -158,20 +156,16 @@ def plugin_estimate(record: ShadowRecord, order: int, part) -> MomentEstimate:
     Biased at O(1/T) but defined from the first shot on.  Builds a dense
     2**N matrix, so it is subject to the dense qubit cap.
     """
-    if order < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    _check_order(order)
     shots = len(record)
     if shots < 1:
         raise InsufficientDataError("the plug-in estimate needs at least one shot")
     if order == 1:
         return MomentEstimate(1, shots, 1.0, True)
-    mean = np.zeros((2**record.n_qubits,) * 2, dtype=np.complex128)
+    plugin = _PluginSum(part, record.n_qubits)
     for snap in record:
-        mean += snapshot_matrix(snap)
-    mean /= shots
-    transposed = partial_transpose(mean, _normalize_part(part, record.n_qubits))
-    value = complex(np.trace(np.linalg.matrix_power(transposed, order)))
-    return _finish(order, shots, value)
+        plugin.update(snap)
+    return plugin.estimate(order)
 
 
 def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> MomentEstimate:
@@ -183,8 +177,7 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
     dense footprint as the plug-in and at least ``order`` batches
     required.
     """
-    if order < 1:
-        raise ValueError(f"moment order must be >= 1, got {order}")
+    _check_order(order)
     if n_batches < order:
         raise InsufficientDataError(
             f"batched estimation of order {order} needs at least {order} batches, "
@@ -198,46 +191,66 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
         )
     dropped = shots - batch * n_batches
     dim = 2**record.n_qubits
-    qubits = _normalize_part(part, record.n_qubits)
     means = np.zeros((n_batches, dim, dim), dtype=np.complex128)
     for t in range(batch * n_batches):
         means[t // batch] += snapshot_matrix(record[t])
     means /= batch
     for b in range(n_batches):
-        means[b] = partial_transpose(means[b], qubits)
+        means[b] = partial_transpose(means[b], part)
     total = 0.0 + 0.0j
     for chunk in subset_index_chunks(n_batches, order):
         total += batch_tuple_traces(means[:, None, :, :], chunk).sum()
     return _finish(order, shots, total / math.comb(n_batches, order), dropped)
 
 
-class _RecordCodes:
-    """Transposed codes of a growing record, encoded as shots arrive.
+class _RecordSums:
+    """Streaming U-statistics of several orders over one retained record.
 
-    :meth:`sync` encodes only the shots appended to the record since the
-    previous call (the whole record on the first call, e.g. one restored
-    from a checkpoint) and returns the codes of every shot so far.
+    ``sums`` maps each order m to the running sum of the kernel over all
+    m-subsets of the record; a new shot adds the subsets it closes.  An
+    update encodes only the shots appended since the previous one (the
+    whole record after a restore), so every shot is encoded once.
     """
 
-    def __init__(self, record: ShadowRecord, part: tuple[int, ...]):
-        self._record = record
+    streaming = True
+
+    def __init__(self, part: tuple[int, ...], record: ShadowRecord, sums: dict[int, complex]):
+        self.record = record
+        self.sums = sums
         self._part = part
         self._codes = np.empty((0, record.n_qubits), dtype=np.uint8)
-        self._len = 0
+        self._encoded = 0
 
-    def sync(self) -> np.ndarray:
-        total = len(self._record)
-        if total > self._len:
-            fresh = snapshot_codes(
-                self._record.axes[self._len :], self._record.bits[self._len :], self._part
-            )
-            if total > self._codes.shape[0]:
-                grown = np.empty((max(16, 2 * total), self._codes.shape[1]), dtype=np.uint8)
-                grown[: self._len] = self._codes[: self._len]
-                self._codes = grown
-            self._codes[self._len : total] = fresh
-            self._len = total
-        return self._codes[:total]
+    def update(self, snapshot: Snapshot) -> None:
+        record, done = self.record, self._encoded
+        record.append(snapshot)
+        total = len(record)
+        if total > self._codes.shape[0]:
+            grown = np.empty((max(16, 2 * total), record.n_qubits), dtype=np.uint8)
+            grown[:done] = self._codes[:done]
+            self._codes = grown
+        self._codes[done:total] = snapshot_codes(
+            record.axes[done:], record.bits[done:], self._part
+        )
+        self._encoded = total
+        codes, latest = self._codes[:total], total - 1
+        for m in self.sums:
+            if total < m:
+                continue
+            evaluate = _chunk_evaluator(codes, m)
+            fresh = 0.0 + 0.0j
+            for chunk in subset_index_chunks(latest, m - 1):
+                closed = np.concatenate(
+                    [chunk, np.full((chunk.shape[0], 1), latest, dtype=np.int64)], axis=1
+                )
+                fresh += evaluate(closed).sum()
+            self.sums[m] += fresh
+
+    def estimate(self, order: int) -> MomentEstimate:
+        shots = len(self.record)
+        if shots < order:
+            return _undefined(order, shots)
+        return _finish(order, shots, self.sums[order] / math.comb(shots, order))
 
 
 class OnlineRecordEstimator:
@@ -257,18 +270,15 @@ class OnlineRecordEstimator:
         record: ShadowRecord | None = None,
         running_sum: complex = 0.0,
     ):
-        if order < 1:
-            raise ValueError(f"moment order must be >= 1, got {order}")
-        self._m = order
-        self._part = _normalize_part(part, n_qubits)
-        self._n = n_qubits
+        _check_order(order)
         if record is None:
             record = ShadowRecord(n_qubits)
         elif record.n_qubits != n_qubits:
             raise ValueError("resume record has the wrong qubit count")
-        self._record = record
-        self._codes = _RecordCodes(record, self._part)
-        self._sum = complex(running_sum)
+        self._m = order
+        self._n = n_qubits
+        self._part = _part_qubits(part, n_qubits)
+        self._sums = _RecordSums(self._part, record, {order: complex(running_sum)})
 
     @property
     def order(self) -> int:
@@ -280,40 +290,21 @@ class OnlineRecordEstimator:
 
     @property
     def shots(self) -> int:
-        return len(self._record)
+        return len(self._sums.record)
 
     @property
     def record(self) -> ShadowRecord:
-        return self._record
+        return self._sums.record
 
     @property
     def running_sum(self) -> complex:
-        return self._sum
+        return self._sums.sums[self._m]
 
     def update(self, snapshot: Snapshot) -> None:
-        self._record.append(snapshot)
-        self._absorb_latest(self._codes.sync())
-
-    def _absorb_latest(self, codes: np.ndarray) -> None:
-        """Add the fresh tuple sum for the newest shot; codes cover the
-        whole record including that shot."""
-        latest = codes.shape[0] - 1
-        if latest + 1 < self._m:
-            return
-        evaluate = _chunk_evaluator(codes, self._m)
-        fresh = 0.0 + 0.0j
-        for chunk in subset_index_chunks(latest, self._m - 1):
-            closed = np.concatenate(
-                [chunk, np.full((chunk.shape[0], 1), latest, dtype=np.int64)], axis=1
-            )
-            fresh += evaluate(closed).sum()
-        self._sum += fresh
+        self._sums.update(snapshot)
 
     def estimate(self) -> MomentEstimate:
-        shots = len(self._record)
-        if shots < self._m:
-            return _undefined(self._m, shots)
-        return _finish(self._m, shots, self._sum / math.comb(shots, self._m))
+        return self._sums.estimate(self._m)
 
 
 class AccumulatorSet:
@@ -332,6 +323,8 @@ class AccumulatorSet:
     :class:`Snapshot` is created.
     """
 
+    streaming = True
+
     def __init__(
         self,
         order: int,
@@ -340,15 +333,14 @@ class AccumulatorSet:
         matrices: np.ndarray | None = None,
         shots: int = 0,
     ):
-        if order < 1:
-            raise ValueError(f"moment order must be >= 1, got {order}")
+        _check_order(order)
         if n_qubits > MAX_DENSE_QUBITS:
             raise CapacityError(
                 f"accumulators are dense; at most {MAX_DENSE_QUBITS} qubits supported"
             )
         self._m = order
-        self._part = _normalize_part(part, n_qubits)
-        self._mask = _qubit_mask(self._part, n_qubits)
+        self._part = _part_qubits(part, n_qubits)
+        self._mask = _transpose_mask(self._part, n_qubits)
         self._n = n_qubits
         dim = 2**n_qubits
         if matrices is None:
@@ -408,16 +400,80 @@ class AccumulatorSet:
         return _finish(k, self._shots, scaled)
 
 
-_STRATEGIES = ("ustat", "plugin", "batched", "online-norecon", "online-recon")
+class _PluginSum:
+    """Running sum of dense snapshots; the order-m plug-in estimate is the
+    trace of the m-th power of the partially transposed mean."""
+
+    streaming = True
+
+    def __init__(self, part, n_qubits: int):
+        self._part = part
+        self._sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
+        self._shots = 0
+
+    def update(self, snapshot: Snapshot) -> None:
+        self._sum += snapshot_matrix(snapshot)
+        self._shots += 1
+
+    def estimate(self, order: int) -> MomentEstimate:
+        if self._shots < 1:
+            return _undefined(order, self._shots)
+        transposed = partial_transpose(self._sum / self._shots, self._part)
+        power = np.linalg.matrix_power(transposed, order)
+        return _finish(order, self._shots, complex(np.trace(power)))
+
+
+class _RetainedRecord:
+    """Keeps every shot (``update`` is the record's ``append``) and re-reads
+    the record with an offline estimator ``offline(record, order)`` on
+    request; orders it cannot form yet are undefined."""
+
+    streaming = False
+
+    def __init__(self, offline, n_qubits: int):
+        self._offline = offline
+        self._record = ShadowRecord(n_qubits)
+        self.update = self._record.append
+
+    def estimate(self, order: int) -> MomentEstimate:
+        try:
+            return self._offline(self._record, order)
+        except InsufficientDataError:
+            return _undefined(order, len(self._record))
+
+
+def _batched_strategy(orders, part, n_qubits, n_batches):
+    if n_batches is None or n_batches < 1:
+        raise ValueError("the batched strategy needs a positive n_batches")
+    offline = functools.partial(batched_estimate, part=part, n_batches=n_batches)
+    return _RetainedRecord(offline, n_qubits)
+
+
+# Strategy name -> factory(orders, part, n_qubits, n_batches); ``orders``
+# is sorted and ``part`` normalised.  The only place strategy names live.
+_STRATEGIES = {
+    "ustat": lambda orders, part, n_qubits, n_batches: _RetainedRecord(
+        functools.partial(ustat_offline, part=part), n_qubits
+    ),
+    "plugin": lambda orders, part, n_qubits, n_batches: _PluginSum(part, n_qubits),
+    "batched": _batched_strategy,
+    "online-norecon": lambda orders, part, n_qubits, n_batches: _RecordSums(
+        part, ShadowRecord(n_qubits), {m: 0j for m in orders if m >= 2}
+    ),
+    "online-recon": lambda orders, part, n_qubits, n_batches: AccumulatorSet(
+        orders[-1], part, n_qubits
+    ),
+}
 
 
 class MomentStream:
     """One strategy, several orders, one shot-by-shot interface.
 
-    Order 1 is pinned to the exact value 1; the streaming strategies
-    (plug-in and both online ones) refresh their estimates after every
-    shot, while ``ustat`` and ``batched`` recompute from the retained
-    record whenever estimates are requested, which is far more
+    ``strategy`` names an entry of the strategy table (see the module
+    docstring).  Order 1 is pinned to the exact value 1; the streaming
+    strategies (plug-in and both online ones) refresh their estimates
+    after every shot, while ``ustat`` and ``batched`` recompute from the
+    retained record whenever estimates are requested, which is far more
     expensive and intended for checkpoint-paced use.
     """
 
@@ -430,98 +486,42 @@ class MomentStream:
         n_batches: int | None = None,
     ):
         if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}, expected one of {_STRATEGIES}")
+            raise ValueError(
+                f"unknown strategy {strategy!r}, expected one of {tuple(_STRATEGIES)}"
+            )
         orders = tuple(sorted(set(int(m) for m in orders)))
         if not orders or orders[0] < 1:
             raise ValueError(f"orders must be a nonempty set of integers >= 1, got {orders}")
         self.strategy = strategy
         self.orders = orders
-        self._n = n_qubits
-        self._part = _normalize_part(part, n_qubits)
-        self._top = orders[-1]
         self._shots = 0
-        self._n_batches = n_batches
-        self._record: ShadowRecord | None = None
-        self._acc: AccumulatorSet | None = None
-        self._norecon: dict[int, OnlineRecordEstimator] = {}
-        self._plugin_sum: np.ndarray | None = None
-
-        if strategy == "online-recon":
-            self._acc = AccumulatorSet(self._top, self._part, n_qubits)
-        elif strategy == "online-norecon":
-            self._record = ShadowRecord(n_qubits)
-            self._codes = _RecordCodes(self._record, self._part)
-            self._norecon = {
-                m: OnlineRecordEstimator(m, self._part, n_qubits, record=self._record)
-                for m in orders
-                if m >= 2
-            }
-        elif strategy == "plugin":
-            self._plugin_sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
-        else:
-            if strategy == "batched" and (n_batches is None or n_batches < 1):
-                raise ValueError("the batched strategy needs a positive n_batches")
-            self._record = ShadowRecord(n_qubits)
+        part = _part_qubits(part, n_qubits)
+        self._estimator = _STRATEGIES[strategy](orders, part, n_qubits, n_batches)
 
     @property
     def streaming(self) -> bool:
         """Whether estimates are cheap to refresh after every shot."""
-        return self.strategy in ("plugin", "online-norecon", "online-recon")
+        return self._estimator.streaming
 
     @property
     def shots(self) -> int:
         return self._shots
 
     def update(self, snapshot: Snapshot) -> None:
-        if self.strategy == "online-recon":
-            self._acc.update(snapshot)
-        elif self.strategy == "online-norecon":
-            self._record.append(snapshot)
-            if self._norecon:
-                codes = self._codes.sync()
-                for est in self._norecon.values():
-                    est._absorb_latest(codes)
-        elif self.strategy == "plugin":
-            self._plugin_sum += snapshot_matrix(snapshot)
-        else:
-            self._record.append(snapshot)
+        self._estimator.update(snapshot)
         self._shots += 1
 
     def estimates(self) -> dict[int, MomentEstimate]:
         """Current per-order estimates (undefined entries carry NaN values)."""
         out: dict[int, MomentEstimate] = {}
         for m in self.orders:
-            if m == 1:
-                out[1] = (
-                    MomentEstimate(1, self._shots, 1.0, True)
-                    if self._shots >= 1
-                    else _undefined(1, self._shots)
-                )
-            elif self.strategy == "online-recon":
-                out[m] = self._acc.estimate(m)
-            elif self.strategy == "online-norecon":
-                out[m] = self._norecon[m].estimate()
-            elif self.strategy == "plugin":
-                out[m] = self._plugin_from_sum(m)
+            if m > 1:
+                out[m] = self._estimator.estimate(m)
+            elif self._shots >= 1:
+                out[1] = MomentEstimate(1, self._shots, 1.0, True)
             else:
-                out[m] = self._offline_estimate(m)
+                out[1] = _undefined(1, self._shots)
         return out
-
-    def _plugin_from_sum(self, order: int) -> MomentEstimate:
-        if self._shots < 1:
-            return _undefined(order, self._shots)
-        mean = self._plugin_sum / self._shots
-        transposed = partial_transpose(mean, self._part)
-        power = np.linalg.matrix_power(transposed, order)
-        return _finish(order, self._shots, complex(np.trace(power)))
-
-    def _offline_estimate(self, order: int) -> MomentEstimate:
-        try:
-            if self.strategy == "ustat":
-                return ustat_offline(self._record, order, self._part)
-            return batched_estimate(self._record, order, self._part, self._n_batches)
-        except InsufficientDataError:
-            return _undefined(order, self._shots)
 
 
 # -- checkpointing -------------------------------------------------------
@@ -534,22 +534,17 @@ _KIND_RECORD, _KIND_ACCUMULATOR = 1, 2
 
 def _pack_state(est) -> bytes:
     if isinstance(est, OnlineRecordEstimator):
-        kind, shots = _KIND_RECORD, est.shots
+        record = est.record.to_bytes()
+        total = est.running_sum
+        kind = _KIND_RECORD
+        body = struct.pack("<ddQ", total.real, total.imag, len(record)) + record
     elif isinstance(est, AccumulatorSet):
-        kind, shots = _KIND_ACCUMULATOR, est.shots
+        kind, body = _KIND_ACCUMULATOR, est.matrices.tobytes()
     else:
         raise TypeError(f"cannot checkpoint {type(est).__name__}")
     part = est.transposed_qubits
-    n_qubits = est._n
-    head = _STATE_HEADER.pack(_STATE_MAGIC, _STATE_VERSION, kind, est.order, n_qubits, shots)
-    part_blob = struct.pack(f"<H{len(part)}H", len(part), *part)
-    if kind == _KIND_RECORD:
-        body = struct.pack("<dd", est.running_sum.real, est.running_sum.imag)
-        record = est.record.to_bytes()
-        body += struct.pack("<Q", len(record)) + record
-    else:
-        body = est.matrices.tobytes()
-    return head + part_blob + body
+    head = _STATE_HEADER.pack(_STATE_MAGIC, _STATE_VERSION, kind, est.order, est._n, est.shots)
+    return head + struct.pack(f"<H{len(part)}H", len(part), *part) + body
 
 
 def save_estimator_state(est, path) -> None:
@@ -558,30 +553,45 @@ def save_estimator_state(est, path) -> None:
         fh.write(_pack_state(est))
 
 
+def _unpack(fmt: str, blob: bytes, offset: int) -> tuple[tuple, int]:
+    """Read ``fmt`` at ``offset``; return the values and the next offset."""
+    end = offset + struct.calcsize(fmt)
+    if end > len(blob):
+        raise ValueError(f"checkpoint truncated: {len(blob)} bytes, need at least {end}")
+    return struct.unpack_from(fmt, blob, offset), end
+
+
+def _tail(blob: bytes, offset: int, size: int) -> bytes:
+    """The last ``size`` bytes of a checkpoint, which must end right there."""
+    if len(blob) != offset + size:
+        raise ValueError(
+            f"checkpoint holds {len(blob)} bytes, its header implies {offset + size}"
+        )
+    return blob[offset:]
+
+
 def load_estimator_state(path):
     """Restore an estimator checkpointed by :func:`save_estimator_state`.
 
     The returned estimator continues exactly as if the stream had never
-    been interrupted.
+    been interrupted.  A file that is not exactly one checkpoint (foreign
+    magic, unknown version or kind, truncated or with trailing bytes)
+    raises :class:`ValueError`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, version, kind, order, n_qubits, shots = _STATE_HEADER.unpack_from(blob)
-    if magic != _STATE_MAGIC:
+    if blob[:4] != _STATE_MAGIC:
         raise ValueError(f"{path} is not an estimator checkpoint")
+    (_, version, kind, order, n_qubits, shots), offset = _unpack(
+        _STATE_HEADER.format, blob, 0
+    )
     if version != _STATE_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = _STATE_HEADER.size
-    (n_part,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    part = struct.unpack_from(f"<{n_part}H", blob, offset)
-    offset += 2 * n_part
+    (n_part,), offset = _unpack("<H", blob, offset)
+    part, offset = _unpack(f"<{n_part}H", blob, offset)
     if kind == _KIND_RECORD:
-        re, im = struct.unpack_from("<dd", blob, offset)
-        offset += 16
-        (rec_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        record = ShadowRecord.from_bytes(blob[offset : offset + rec_len])
+        (re, im, size), offset = _unpack("<ddQ", blob, offset)
+        record = ShadowRecord.from_bytes(_tail(blob, offset, size))
         if len(record) != shots:
             raise ValueError("checkpoint record length disagrees with header")
         return OnlineRecordEstimator(
@@ -589,8 +599,7 @@ def load_estimator_state(path):
         )
     if kind == _KIND_ACCUMULATOR:
         dim = 2**n_qubits
-        mats = np.frombuffer(blob, dtype=np.complex128, offset=offset).reshape(
-            order, dim, dim
-        )
+        body = _tail(blob, offset, 16 * order * dim * dim)
+        mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
         return AccumulatorSet(order, part, n_qubits, matrices=mats, shots=shots)
     raise ValueError(f"unknown checkpoint kind {kind}")

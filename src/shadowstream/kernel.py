@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .sampler import AXIS_Y, FACTORS, Snapshot, snapshot_matrix
-from .states import partial_transpose
+from .states import _part_qubits, partial_transpose
 
 __all__ = [
     "pt_flip",
@@ -67,19 +67,10 @@ CHAIN_TABLE_MAX = 6
 _FACTORS_FLAT = FACTORS.reshape(6, 2, 2)
 
 
-def _qubit_mask(part, n_qubits: int) -> np.ndarray:
-    if hasattr(part, "transposed"):
-        if part.n_qubits != n_qubits:
-            raise ValueError(
-                f"bipartition is over {part.n_qubits} qubits, snapshot has {n_qubits}"
-            )
-        qubits = part.transposed
-    else:
-        qubits = [int(q) for q in part]
-        if any(q < 0 or q >= n_qubits for q in qubits):
-            raise ValueError(f"qubit indices {sorted(qubits)} out of range")
+def _transpose_mask(part, n_qubits: int) -> np.ndarray:
+    """Boolean per-qubit mask of the normalised transposed qubits."""
     mask = np.zeros(n_qubits, dtype=bool)
-    mask[list(qubits)] = True
+    mask[list(_part_qubits(part, n_qubits))] = True
     return mask
 
 
@@ -91,7 +82,7 @@ def pt_flip(snapshot: Snapshot, part) -> Snapshot:
     dense partial transpose of the original reconstruction, entry for
     entry.
     """
-    mask = _qubit_mask(part, snapshot.n_qubits)
+    mask = _transpose_mask(part, snapshot.n_qubits)
     flips = (snapshot.axes == AXIS_Y) & mask
     return Snapshot(snapshot.axes, snapshot.bits ^ flips)
 
@@ -120,7 +111,7 @@ def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     """
     axes = np.asarray(axes)
     bits = np.asarray(bits)
-    return _pt_codes(axes, bits, _qubit_mask(part, axes.shape[1]))
+    return _pt_codes(axes, bits, _transpose_mask(part, axes.shape[1]))
 
 
 def factors_from_codes(codes: np.ndarray) -> np.ndarray:
@@ -368,7 +359,7 @@ def tuple_trace_expansion(
         raise UnsupportedOrderError(
             f"expansion path supports tuples up to length {table.max_length}, got {m}"
         )
-    mask = _qubit_mask(part, n)
+    mask = _transpose_mask(part, n)
     effective = bits ^ ((axes == AXIS_Y) & mask[None, :])
     signs = 1.0 - 2.0 * effective.astype(np.float64)
     total = 1.0 + 0.0j

@@ -44,6 +44,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -54,11 +55,12 @@ import numpy as np
 from ._version import __version__
 from .certify import EspVector, descartes_bound, hierarchy_check, newton_girard
 from .errors import InvalidStateError
-from .estimators import MomentStream
+from .estimators import _STRATEGIES, MomentStream
 from .sampler import BornSampler, shot_rng, stream_shadows
 from .states import (
     Bipartition,
     DensityMatrix,
+    _werner_local_dim,
     exact_esp,
     exact_pt_moment,
     first_violated_order,
@@ -81,6 +83,14 @@ __all__ = [
 
 _FORMAT_NAME = "shadowstream-result"
 _FORMAT_VERSION = 1
+
+
+def _int_set(name: str, values) -> tuple[int, ...]:
+    """The sorted distinct integers of a list-valued config field."""
+    try:
+        return tuple(sorted(set(int(v) for v in values)))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -108,14 +118,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(sorted(set(int(m) for m in self.orders))))
+        object.__setattr__(self, "orders", _int_set("orders", self.orders))
         object.__setattr__(self, "strategies", tuple(str(s) for s in self.strategies))
         if self.transposed is not None:
-            object.__setattr__(
-                self, "transposed", tuple(sorted(set(int(q) for q in self.transposed)))
-            )
+            object.__setattr__(self, "transposed", _int_set("transposed", self.transposed))
 
     def validated(self) -> "ExperimentConfig":
+        for f in fields(self):
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{f.name} must be a number of type {f.type}, got {value!r}")
         if self.state_kind not in ("werner", "file"):
             raise ValueError(f"state_kind must be 'werner' or 'file', got {self.state_kind!r}")
         if self.state_kind == "file" and not self.state_path:
@@ -124,6 +137,15 @@ class ExperimentConfig:
             raise ValueError(f"orders must be integers >= 1, got {self.orders}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        for name in self.strategies:
+            if name not in _STRATEGIES:
+                raise ValueError(
+                    f"unknown strategy {name!r}, expected one of {tuple(_STRATEGIES)}"
+                )
+        if self.state_kind == "werner":
+            _werner_local_dim(self.n_qubits, self.t)
+        if self.transposed is not None:
+            Bipartition(self.n_qubits, self.transposed)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.runs < 1:
@@ -173,11 +195,7 @@ class ExperimentConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        for key in ("orders", "strategies", "transposed"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**payload)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -285,10 +303,8 @@ def _build_state(config: ExperimentConfig) -> DensityMatrix:
 
 def _transposed_qubits(config: ExperimentConfig) -> tuple[int, ...]:
     if config.transposed is not None:
-        part = Bipartition(config.n_qubits, config.transposed)
-    else:
-        part = Bipartition.balanced(config.n_qubits)
-    return part.transposed
+        return config.transposed
+    return Bipartition.balanced(config.n_qubits).transposed
 
 
 def run_seed_for(base_seed: int, run: int) -> int:
@@ -723,6 +739,24 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# ``run`` flags that each override one config field: (flag, type, field, help).
+_RUN_FIELD_FLAGS = (
+    ("--seed", int, "seed", "base seed (overrides config)"),
+    ("--shots", int, "shots", "per-run shot budget"),
+    ("--orders", _parse_int_list, "orders", "moment orders, e.g. 2,3"),
+    ("--strategy", _parse_str_list, "strategies", "estimator strategies, e.g. online-recon"),
+    ("--runs", int, "runs", "number of independent runs"),
+    ("--workers", int, "workers", "parallel run workers"),
+    ("--tolerance", float, "tolerance", "stopping tolerance"),
+    ("--window", int, "window", "stopping window (consecutive shots)"),
+    ("--target-order", int, "target_order", "order watched by the stopping rule"),
+    ("--batches", int, "n_batches", "batch count for the batched strategy"),
+    ("--qubits", int, "n_qubits", "qubit count of the Werner state"),
+    ("--t", float, "t", "Werner mixing parameter"),
+    ("--transposed", _parse_int_list, "transposed", "qubits to transpose, e.g. 2,3"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowstream",
@@ -733,28 +767,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment and export traces")
     run_p.add_argument("-c", "--config", type=Path, help="JSON config file")
-    run_p.add_argument("--seed", type=int, help="base seed (overrides config)")
-    run_p.add_argument("--shots", type=int, help="per-run shot budget")
-    run_p.add_argument("--orders", type=_parse_int_list, help="moment orders, e.g. 2,3")
-    run_p.add_argument(
-        "--strategy", type=_parse_str_list, help="estimator strategies, e.g. online-recon"
-    )
     run_p.add_argument("--out", required=True, help="output prefix (.json and .csv)")
-    run_p.add_argument("--runs", type=int, help="number of independent runs")
-    run_p.add_argument("--workers", type=int, help="parallel run workers")
-    run_p.add_argument("--tolerance", type=float, help="stopping tolerance")
-    run_p.add_argument("--window", type=int, help="stopping window (consecutive shots)")
-    run_p.add_argument("--target-order", type=int, help="order watched by the stopping rule")
+    for flag, kind, _, text in _RUN_FIELD_FLAGS:
+        run_p.add_argument(flag, type=kind, help=text)
     run_p.add_argument(
         "--no-stop", action="store_true", help="ignore convergence; always spend the budget"
     )
-    run_p.add_argument("--batches", type=int, help="batch count for the batched strategy")
-    run_p.add_argument("--qubits", type=int, help="qubit count of the Werner state")
-    run_p.add_argument("--t", type=float, help="Werner mixing parameter")
     run_p.add_argument("--state-file", help="density-matrix JSON file instead of a Werner state")
-    run_p.add_argument(
-        "--transposed", type=_parse_int_list, help="qubits to transpose, e.g. 2,3"
-    )
 
     oracle_p = sub.add_parser("oracle", help="print exact Werner reference values")
     oracle_p.add_argument("--qubits", type=int, required=True)
@@ -773,37 +792,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.orders is not None:
-        overrides["orders"] = args.orders
-    if args.strategy is not None:
-        overrides["strategies"] = args.strategy
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.target_order is not None:
-        overrides["target_order"] = args.target_order
+    for flag, _, name, _ in _RUN_FIELD_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides[name] = value
     if args.no_stop:
         overrides["stop_on_convergence"] = False
-    if args.batches is not None:
-        overrides["n_batches"] = args.batches
-    if args.qubits is not None:
-        overrides["n_qubits"] = args.qubits
-    if args.t is not None:
-        overrides["t"] = args.t
     if args.state_file is not None:
-        overrides["state_kind"] = "file"
-        overrides["state_path"] = args.state_file
-    if args.transposed is not None:
-        overrides["transposed"] = args.transposed
+        overrides.update(state_kind="file", state_path=args.state_file)
     return replace(config, **overrides) if overrides else config
 
 

@@ -115,13 +115,11 @@ class Bipartition:
     transposed: tuple[int, ...]
 
     def __post_init__(self):
-        qubits = tuple(sorted(set(int(q) for q in self.transposed)))
+        qubits = _part_qubits(self.transposed, self.n_qubits)
         if not qubits:
             raise ValueError("transposed subsystem must be nonempty")
         if len(qubits) >= self.n_qubits:
             raise ValueError("transposed subsystem must be a proper subset")
-        if qubits[0] < 0 or qubits[-1] >= self.n_qubits:
-            raise ValueError(f"qubit indices out of range for {self.n_qubits} qubits")
         object.__setattr__(self, "transposed", qubits)
 
     @classmethod
@@ -132,16 +130,22 @@ class Bipartition:
         return cls(n_qubits, tuple(range(n_qubits // 2, n_qubits)))
 
 
-def _as_qubit_set(part, n_qubits: int) -> frozenset[int]:
+def _part_qubits(part, n_qubits: int) -> tuple[int, ...]:
+    """The sorted, distinct qubits named by ``part`` among ``n_qubits``.
+
+    ``part`` is a :class:`Bipartition` over ``n_qubits`` qubits or any
+    iterable of qubit indices; every caller that transposes qubits
+    (dense, bit-flip or code form) normalises through here.
+    """
     if isinstance(part, Bipartition):
         if part.n_qubits != n_qubits:
             raise ValueError(
-                f"bipartition is over {part.n_qubits} qubits but the operator has {n_qubits}"
+                f"bipartition is over {part.n_qubits} qubits, expected {n_qubits}"
             )
-        return frozenset(part.transposed)
-    qubits = frozenset(int(q) for q in part)
-    if any(q < 0 or q >= n_qubits for q in qubits):
-        raise ValueError(f"qubit indices {sorted(qubits)} out of range for {n_qubits} qubits")
+        return part.transposed
+    qubits = tuple(sorted(set(int(q) for q in part)))
+    if qubits and (qubits[0] < 0 or qubits[-1] >= n_qubits):
+        raise ValueError(f"qubit indices {qubits} out of range for {n_qubits} qubits")
     return qubits
 
 
@@ -158,12 +162,21 @@ def partial_transpose(rho, part) -> np.ndarray:
     n = dim.bit_length() - 1
     if entries.shape != (dim, dim) or 2**n != dim:
         raise ValueError(f"expected a square power-of-two matrix, got shape {entries.shape}")
-    qubits = _as_qubit_set(part, n)
+    qubits = _part_qubits(part, n)
     legs = entries.reshape((2,) * (2 * n))
     order = list(range(2 * n))
     for q in qubits:
         order[q], order[n + q] = order[n + q], order[q]
     return np.ascontiguousarray(legs.transpose(order).reshape(dim, dim))
+
+
+def _werner_local_dim(n_qubits: int, t: float) -> int:
+    """Check Werner arguments and return the local dimension ``2**(N/2)``."""
+    if n_qubits < 2 or n_qubits % 2:
+        raise ValueError(f"Werner states need an even qubit count >= 2, got {n_qubits}")
+    if not -1.0 <= t <= 1.0:
+        raise ValueError(f"mixing parameter must lie in [-1, 1], got {t}")
+    return 2 ** (n_qubits // 2)
 
 
 def werner_state(n_qubits: int, t: float) -> DensityMatrix:
@@ -172,12 +185,8 @@ def werner_state(n_qubits: int, t: float) -> DensityMatrix:
     ``t = 1`` on two qubits gives the singlet projector; ``t`` at or
     below ``1/d`` gives a PPT (hence undetectable) state.
     """
-    if n_qubits < 2 or n_qubits % 2:
-        raise ValueError(f"Werner states need an even qubit count >= 2, got {n_qubits}")
+    d = _werner_local_dim(n_qubits, t)
     _check_qubit_count(n_qubits)
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [-1, 1], got {t}")
-    d = 2 ** (n_qubits // 2)
     swap = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
@@ -212,11 +221,7 @@ class PtSpectrum:
 
 def werner_pt_spectrum(n_qubits: int, t: float) -> PtSpectrum:
     """Analytic spectrum of the partially transposed Werner state."""
-    if n_qubits < 2 or n_qubits % 2:
-        raise ValueError(f"Werner states need an even qubit count >= 2, got {n_qubits}")
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [-1, 1], got {t}")
-    d = 2 ** (n_qubits // 2)
+    d = _werner_local_dim(n_qubits, t)
     denom = d * d - d * t
     return PtSpectrum(local_dim=d, lambda_minus=(1.0 - d * t) / denom, lambda_plus=1.0 / denom)
 
@@ -257,11 +262,7 @@ def first_violated_order(n_qubits: int, t: float) -> int | None:
     smallest integer exceeding ``d/t``; for ``t <= 1/d`` the state is
     PPT and no order is ever violated.
     """
-    if n_qubits < 2 or n_qubits % 2:
-        raise ValueError(f"Werner states need an even qubit count >= 2, got {n_qubits}")
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [-1, 1], got {t}")
-    d = 2 ** (n_qubits // 2)
+    d = _werner_local_dim(n_qubits, t)
     if t <= 1.0 / d:
         return None
     return math.floor(d / t) + 1

@@ -353,13 +353,24 @@ class TestMomentStream:
                 reference, rel=1e-11
             )
 
-    def test_norecon_orders_share_one_record(self, record):
+    def test_norecon_orders_share_one_record(self, record, monkeypatch):
+        created = []
+
+        class CountingRecord(ShadowRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(shadowstream.estimators, "ShadowRecord", CountingRecord)
         stream = MomentStream("online-norecon", (2, 3, 4), PART, 2)
         for snap in list(record)[:12]:
             stream.update(snap)
-        records = {id(est.record) for est in stream._norecon.values()}
-        assert len(records) == 1
-        assert stream.shots == 12
+        assert len(created) == 1
+        assert len(created[0]) == stream.shots == 12
+        estimates = stream.estimates()
+        for order in (2, 3, 4):
+            reference = ustat_offline(record[:12], order, PART).value
+            assert estimates[order].value == pytest.approx(reference, rel=1e-11)
 
     def test_batched_stream_matches_direct_call(self, record):
         stream = MomentStream("batched", (2,), PART, 2, n_batches=6)
@@ -386,3 +397,48 @@ class TestCheckpointFormat:
             est.update(snap)
         save_estimator_state(est, tmp_path / "p.ckpt")
         assert load_estimator_state(tmp_path / "p.ckpt").transposed_qubits == (0,)
+
+    @pytest.fixture(params=["record", "accumulator"])
+    def blob(self, request, record, tmp_path):
+        """A valid checkpoint of each kind, as bytes."""
+        if request.param == "record":
+            est = OnlineRecordEstimator(3, PART, 2)
+        else:
+            est = AccumulatorSet(2, PART, 2)
+        for snap in list(record)[:20]:
+            est.update(snap)
+        path = tmp_path / "valid.ckpt"
+        save_estimator_state(est, path)
+        return path.read_bytes()
+
+    def test_round_trip_is_byte_identical(self, blob, tmp_path):
+        path = tmp_path / "again.ckpt"
+        path.write_bytes(blob)
+        save_estimator_state(load_estimator_state(path), path)
+        assert path.read_bytes() == blob
+        assert blob[4:6] == (1).to_bytes(2, "little")  # format version 1
+
+    def test_every_strict_prefix_is_rejected(self, blob, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError):
+                load_estimator_state(path)
+
+    @pytest.mark.parametrize(
+        "extra", [b"\0", bytes(3), bytes(16), b"\xff" * 16], ids=["1", "3", "16", "16ff"]
+    )
+    def test_trailing_bytes_are_rejected(self, blob, tmp_path, extra):
+        path = tmp_path / "padded.ckpt"
+        path.write_bytes(blob + extra)
+        with pytest.raises(ValueError, match="bytes"):
+            load_estimator_state(path)
+
+    def test_rejects_unknown_kind_and_version(self, blob, tmp_path):
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(blob[:6] + bytes([9]) + blob[7:])
+        with pytest.raises(ValueError, match="kind"):
+            load_estimator_state(path)
+        path.write_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
+        with pytest.raises(ValueError, match="version"):
+            load_estimator_state(path)

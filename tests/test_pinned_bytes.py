@@ -1,0 +1,130 @@
+"""SHA-256 pins of exports and checkpoints.
+
+The digests were computed before the estimator strategies moved behind
+one protocol; any later change that alters a single exported byte or
+checkpoint byte fails here.  The byte-determinism tests elsewhere only
+compare runs of the same code with each other.
+"""
+
+import hashlib
+
+import pytest
+
+from shadowstream import (
+    AccumulatorSet,
+    Bipartition,
+    ExperimentConfig,
+    OnlineRecordEstimator,
+    export_csv,
+    export_json,
+    run_experiment,
+    save_estimator_state,
+    stream_shadows,
+    werner_state,
+)
+
+
+def _n2_config(strategy: str) -> ExperimentConfig:
+    return ExperimentConfig(
+        n_qubits=2,
+        t=5.0 / 6.0,
+        orders=(2, 3),
+        strategies=(strategy,),
+        shots=120,
+        runs=2,
+        seed=41,
+        tolerance=0.1,
+        window=3,
+        stop_on_convergence=True,
+        stride_dense=10,
+        stride_switch=60,
+        stride_sparse=20,
+        n_batches=6,
+    )
+
+
+EXPORT_CONFIGS = {
+    **{
+        name: _n2_config(name)
+        for name in ("ustat", "plugin", "batched", "online-norecon", "online-recon")
+    },
+    "n4-online-norecon": ExperimentConfig(
+        n_qubits=4,
+        t=0.9,
+        transposed=(1, 3),
+        orders=(2, 3),
+        strategies=("online-norecon",),
+        shots=60,
+        runs=1,
+        seed=12,
+        stop_on_convergence=True,
+        stride_dense=1,
+    ),
+}
+
+EXPORT_DIGESTS = {  # (JSON, CSV)
+    "batched": (
+        "b764aff65b53d08273f6d32138f21eed8a44776bed97eeb83970430a27b903b5",
+        "318a253fedc8e37d5a84480ca03ccd98aea07fc73c2917da3bf7a5766391b84b",
+    ),
+    "n4-online-norecon": (
+        "943b0dc8f9d63c8d8dc6b6f92a34693b448e1bf5720210424008a6ad14a97c48",
+        "0240fd53e9af56a77fe3a02f17d0c141fb02ad5bb95e33560828716f99e0cdfa",
+    ),
+    "online-norecon": (
+        "ac9a9a298b81f512ccf1a516053c31fea0fd077f5bb250d36bc29665069af09a",
+        "ecfb5c960f125d655723c366dd326a0f9faa7f1bbd8cf7f69c8c61e86e6aad23",
+    ),
+    "online-recon": (
+        "23cc1070eff6adb7ff7cf19d2f8a2f1ce21a35c8528ce9276f026f55cbe2c7f8",
+        "ee464b0dab8dfaaedb5f07fe5c936e206bc32aaa7c0764f8d85c89cade924b6b",
+    ),
+    "plugin": (
+        "0f83e4d1cedd7a7e8d5f41f01a9b49dd9f6a1daf40c038c0ca2b3aa66782fd53",
+        "a91b3a1ad91bf92346784f1d53540f8e58cab1357c4b6d524bbc9e7c0cd11c85",
+    ),
+    "ustat": (
+        "d92fff46e67a26bb933452903de6dd776bc867947d2f491e0995112e30477702",
+        "83ae0fea32723efc05e83808530f0e915e5c0594c1a80f20867f296491ab52b7",
+    ),
+}
+
+CHECKPOINT_DIGESTS = {
+    "accumulator": "1bd27fd484acdc80472d18e9c7cf9bd5961f96d6527ddb71e0d4574bbe7e1b35",
+    "record": "645b8f3c5ca1eae2efe34e2fe3123225ceddc3e2b850151caa3a2ae39d096ab4",
+}
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def export_digests(name: str, tmp_path) -> tuple[str, str]:
+    result = run_experiment(EXPORT_CONFIGS[name])
+    export_json(result, tmp_path / "out.json")
+    export_csv(result, tmp_path / "out.csv")
+    return _sha(tmp_path / "out.json"), _sha(tmp_path / "out.csv")
+
+
+def checkpoint_estimator(kind: str):
+    if kind == "accumulator":
+        est = AccumulatorSet(3, (1,), 2)
+        record = stream_shadows(werner_state(2, 5.0 / 6.0), 40, seed=77)
+    else:
+        est = OnlineRecordEstimator(3, Bipartition.balanced(4), 4)
+        record = stream_shadows(werner_state(4, 0.9), 30, seed=78)
+    for snap in record:
+        est.update(snap)
+    return est
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_CONFIGS))
+def test_exports_match_pinned_digests(name, tmp_path):
+    assert export_digests(name, tmp_path) == EXPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("kind", ["accumulator", "record"])
+def test_checkpoints_match_pinned_digests(kind, tmp_path):
+    path = tmp_path / "state.ckpt"
+    save_estimator_state(checkpoint_estimator(kind), path)
+    assert _sha(path) == CHECKPOINT_DIGESTS[kind]

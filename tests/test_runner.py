@@ -17,6 +17,8 @@ from shadowstream import (
 )
 from shadowstream.runner import (
     _StopMonitor,
+    _build_parser,
+    _config_from_args,
     main,
     recompute_run_summaries,
     run_seed_for,
@@ -84,11 +86,45 @@ class TestExperimentConfig:
             {"target_order": 7},
             {"workers": 0},
             {"stride_dense": 0},
+            {"strategies": ("online-recon", "magic")},
+            {"n_qubits": 3},
+            {"n_qubits": 0},
+            {"t": 1.5},
+            {"transposed": ()},
+            {"transposed": (0, 1)},
+            {"transposed": (2,)},
+            {"shots": "100"},
+            {"tolerance": "small"},
+            {"seed": 1.0},
+            {"workers": True},
         ],
     )
     def test_validation_failures(self, overrides):
         with pytest.raises(ValueError):
             small_config(**overrides).validated()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"shots": "100"}, "shots"),
+            ({"t": None}, "t"),
+            ({"n_batches": [4]}, "n_batches"),
+            ({"orders": 3}, "orders"),
+            ({"orders": ["two"]}, "orders"),
+            ({"transposed": "x"}, "transposed"),
+        ],
+    )
+    def test_malformed_values_name_the_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(payload).validated()
+
+    def test_every_stream_strategy_validates(self):
+        for name in ("ustat", "plugin", "batched", "online-norecon", "online-recon"):
+            assert small_config(strategies=(name,)).validated().strategies == (name,)
+
+    def test_file_states_skip_the_werner_checks(self):
+        config = small_config(state_kind="file", state_path="state.json", n_qubits=3)
+        assert config.validated() is config
 
 
 class TestStopMonitor:
@@ -335,6 +371,58 @@ class TestCli:
         payload = load_result(out.with_suffix(".json"))
         assert payload["config"]["shots"] == 40
         assert payload["config"]["seed"] == 11
+
+    # Every ``run`` flag besides -c/--out, with one value and the config
+    # field it must land on.
+    FLAG_CASES = [
+        (["--seed", "9"], {"seed": 9}),
+        (["--shots", "50"], {"shots": 50}),
+        (["--orders", "4,2"], {"orders": (2, 4)}),
+        (["--strategy", "plugin,ustat"], {"strategies": ("plugin", "ustat")}),
+        (["--runs", "3"], {"runs": 3}),
+        (["--workers", "2"], {"workers": 2}),
+        (["--tolerance", "0.25"], {"tolerance": 0.25}),
+        (["--window", "7"], {"window": 7}),
+        (["--target-order", "2"], {"target_order": 2}),
+        (["--batches", "5"], {"n_batches": 5}),
+        (["--qubits", "4"], {"n_qubits": 4}),
+        (["--t", "0.4"], {"t": 0.4}),
+        (["--transposed", "2,3"], {"transposed": (2, 3)}),
+        (["--no-stop"], {"stop_on_convergence": False}),
+        (["--state-file", "rho.json"], {"state_kind": "file", "state_path": "rho.json"}),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", FLAG_CASES, ids=lambda v: str(v))
+    def test_run_flag_sets_its_config_field(self, argv, expected):
+        args = _build_parser().parse_args(["run", "--out", "x", *argv])
+        changed = {
+            name: value
+            for name, value in _config_from_args(args).to_dict().items()
+            if value != ExperimentConfig().to_dict()[name]
+        }
+        assert changed == {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in expected.items()
+        }
+
+    def test_flag_cases_cover_every_run_flag(self):
+        run_parser = _build_parser()._subparsers._group_actions[0].choices["run"]
+        flags = {
+            action.option_strings[-1]
+            for action in run_parser._actions
+            if action.option_strings
+        }
+        covered = {argv[0] for argv, _ in self.FLAG_CASES}
+        assert flags - covered == {"--help", "--config", "--out"}
+
+    def test_flags_override_config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"shots": 40, "window": 3, "n_batches": 6}))
+        args = _build_parser().parse_args(
+            ["run", "-c", str(path), "--out", "x", "--window", "8"]
+        )
+        config = _config_from_args(args)
+        assert (config.shots, config.window, config.n_batches) == (40, 8, 6)
 
     def test_verification_battery(self, capsys):
         assert main(["verify"]) == 0
