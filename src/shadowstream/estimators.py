@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -69,6 +70,7 @@ __all__ = [
     "OnlineRecordEstimator",
     "AccumulatorSet",
     "MomentStream",
+    "check_strategy",
     "save_estimator_state",
     "load_estimator_state",
 ]
@@ -443,8 +445,6 @@ class _RetainedRecord:
 
 
 def _batched_strategy(orders, part, n_qubits, n_batches):
-    if n_batches is None or n_batches < 1:
-        raise ValueError("the batched strategy needs a positive n_batches")
     offline = functools.partial(batched_estimate, part=part, n_batches=n_batches)
     return _RetainedRecord(offline, n_qubits)
 
@@ -466,6 +466,24 @@ _STRATEGIES = {
 }
 
 
+def check_strategy(strategy: str, orders, n_batches: int | None) -> None:
+    """Raise :class:`ValueError` unless ``strategy`` can serve ``orders``.
+
+    The name must be in the strategy table, and ``batched`` needs an
+    integer ``n_batches`` of at least the highest order, since fewer
+    batches leave that order undefined for the whole run.
+    """
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {tuple(_STRATEGIES)}")
+    if strategy == "batched" and not (
+        isinstance(n_batches, numbers.Integral) and n_batches >= max(orders)
+    ):
+        raise ValueError(
+            f"the batched strategy needs an integer n_batches >= the highest order "
+            f"{max(orders)}, got {n_batches!r}"
+        )
+
+
 class MomentStream:
     """One strategy, several orders, one shot-by-shot interface.
 
@@ -485,13 +503,10 @@ class MomentStream:
         n_qubits: int,
         n_batches: int | None = None,
     ):
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}, expected one of {tuple(_STRATEGIES)}"
-            )
         orders = tuple(sorted(set(int(m) for m in orders)))
         if not orders or orders[0] < 1:
             raise ValueError(f"orders must be a nonempty set of integers >= 1, got {orders}")
+        check_strategy(strategy, orders, n_batches)
         self.strategy = strategy
         self.orders = orders
         self._shots = 0

@@ -31,11 +31,16 @@ with defaults)::
 
 Each run streams shots, updates every selected estimator, applies the
 stopping rule to the primary (first-listed) strategy, and records
-checkpoints.  Results are written twice: a JSON document carrying the
-full config, traces, per-run summaries and campaign summary, and a
-gnuplot-friendly CSV with ``#`` comment headers and one row per
-checkpoint.  Both are byte-stable: rerunning the same config and seed
-reproduces them exactly, regardless of ``workers``.
+checkpoints.  Streaming strategies are read, and feed their stopping
+monitors, after every shot; checkpoint-paced ones (``ustat`` and
+``batched``) only at checkpoints and at the stop shot, so a run whose
+primary strategy is checkpoint-paced stops only at a checkpoint.
+
+Results are written twice: a JSON document carrying the full config,
+traces, per-run summaries and campaign summary, and a gnuplot-friendly
+CSV with ``#`` comment headers and one row per checkpoint.  Both are
+byte-stable: rerunning the same config and seed reproduces them
+exactly, regardless of ``workers``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 from ._version import __version__
 from .certify import EspVector, descartes_bound, hierarchy_check, newton_girard
 from .errors import InvalidStateError
-from .estimators import _STRATEGIES, MomentStream
+from .estimators import MomentStream, check_strategy
 from .sampler import BornSampler, shot_rng, stream_shadows
 from .states import (
     Bipartition,
@@ -138,10 +143,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         for name in self.strategies:
-            if name not in _STRATEGIES:
-                raise ValueError(
-                    f"unknown strategy {name!r}, expected one of {tuple(_STRATEGIES)}"
-                )
+            check_strategy(name, self.orders, self.n_batches)
         if self.state_kind == "werner":
             _werner_local_dim(self.n_qubits, self.t)
         if self.transposed is not None:
@@ -191,6 +193,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError(f"an experiment config must be a JSON object, got {payload!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -294,7 +298,7 @@ def _build_state(config: ExperimentConfig) -> DensityMatrix:
     if config.state_kind == "werner":
         return werner_state(config.n_qubits, config.t)
     rho = load_density_matrix(config.state_path)
-    if config.state_kind == "file" and rho.n_qubits != config.n_qubits:
+    if rho.n_qubits != config.n_qubits:
         raise InvalidStateError(
             f"state file holds {rho.n_qubits} qubits, config says {config.n_qubits}"
         )
@@ -370,33 +374,26 @@ def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
     for index in range(config.shots):
         shot = index + 1
         snapshot = sampler.sample(shot_rng(seed, index))
-        cache: dict[str, dict] = {}
+        due = _checkpoint_due(shot, config) or shot == config.shots
+        stopping = False
+        # The primary strategy comes first, so whether this shot stops the
+        # run is known before any other stream decides whether to read.
         for name, stream in streams.items():
             stream.update(snapshot)
-            if stream.streaming:
-                estimates = stream.estimates()
-                cache[name] = estimates
-                for m, monitor in monitors[name].items():
-                    if estimates[m].well_defined:
-                        monitor.push(shot, estimates[m].value)
-        fired = monitors[primary][target].fired_at
-        stopping = (
-            config.stop_on_convergence and streams[primary].streaming and fired is not None
-        )
-        if _checkpoint_due(shot, config) or shot == config.shots or stopping:
-            for name, stream in streams.items():
-                estimates = cache.get(name)
-                if estimates is None:
-                    estimates = stream.estimates()
-                    for m, monitor in monitors[name].items():
-                        if estimates[m].well_defined:
-                            monitor.push(shot, estimates[m].value)
+            if not (stream.streaming or due or stopping):
+                continue
+            estimates = stream.estimates()
+            for m, monitor in monitors[name].items():
+                if estimates[m].well_defined:
+                    monitor.push(shot, estimates[m].value)
+            if name == primary:
+                stopping = (
+                    config.stop_on_convergence and monitors[name][target].fired_at is not None
+                )
+            if due or stopping:
                 _append_checkpoint(traces[name], shot, estimates)
-            if not streams[primary].streaming and config.stop_on_convergence:
-                fired = monitors[primary][target].fired_at
-                stopping = fired is not None
         if stopping:
-            stop_shot = fired
+            stop_shot = shot
             break
 
     for name, trace in traces.items():
@@ -501,7 +498,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     does not depend on ``workers``.
     """
     config = config.validated()
-    _build_state(config).assert_physical()
     if config.workers > 1 and config.runs > 1:
         worker = functools.partial(_run_single, config)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -579,7 +575,7 @@ def load_result(path) -> dict:
     """Read a result document written by :func:`export_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != _FORMAT_NAME:
+    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
         raise ValueError(f"{path} is not a {_FORMAT_NAME} document")
     return payload
 

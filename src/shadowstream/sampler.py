@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError
 from .states import DensityMatrix
 
 __all__ = [
@@ -238,7 +237,8 @@ def _walsh_hadamard(values: np.ndarray) -> None:
 class BornSampler:
     """Samples snapshots from a fixed state, caching per-basis distributions.
 
-    The sampler keeps the real table of all 4**N Pauli expectations
+    Construction checks ``rho`` once (``InvalidStateError`` if it is not
+    physical), then keeps the real table of all 4**N Pauli expectations
     ``tr(rho P_s)`` instead of ``rho``.  Outcome ``b`` in basis ``a`` has
     probability ``2**-N sum_S (-1)**(b.S) tr(rho P_a[S])`` over qubit
     subsets ``S``, so a basis's distribution is the Walsh-Hadamard
@@ -248,9 +248,8 @@ class BornSampler:
     could dominate memory.
     """
 
-    def __init__(self, rho: DensityMatrix, check_physical: bool = True):
-        if check_physical:
-            rho.assert_physical()
+    def __init__(self, rho: DensityMatrix):
+        rho.assert_physical()
         n = rho.n_qubits
         self._n = n
         self._expectations = _pauli_expectations(rho)
@@ -457,6 +456,13 @@ class ShadowRecord:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ShadowRecord":
+        """Decode :meth:`to_bytes` output.
+
+        Only canonical blobs load: wrong magic, version or length, flag
+        bits other than bit 0, a seed field set while the flag is clear,
+        nonzero padding bits and axis code 3 all raise :class:`ValueError`,
+        so every blob that loads re-encodes to itself.
+        """
         if len(blob) < cls._HEADER.size:
             raise ValueError("buffer is too short to be a shadow record")
         magic, version, n, count, flags, seed, desc_len = cls._HEADER.unpack_from(blob)
@@ -464,6 +470,8 @@ class ShadowRecord:
             raise ValueError(f"not a shadow record (bad magic {magic!r})")
         if version != cls._VERSION:
             raise ValueError(f"unsupported shadow record version {version}")
+        if flags > 1 or (flags == 0 and seed != 0):
+            raise ValueError(f"bad seed flags {flags} with seed field {seed}")
         offset = cls._HEADER.size + desc_len
         expected = offset + -(-3 * count * n // 8)
         if len(blob) != expected:
@@ -472,9 +480,10 @@ class ShadowRecord:
                 f"got {len(blob)}"
             )
         descriptor = blob[cls._HEADER.size : offset].decode("utf-8")
-        raw = np.unpackbits(
-            np.frombuffer(blob, dtype=np.uint8, offset=offset), count=count * n * 3
-        ).reshape(count, n, 3)
+        raw = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=offset))
+        if raw[3 * count * n :].any():
+            raise ValueError("shadow record has nonzero padding bits")
+        raw = raw[: 3 * count * n].reshape(count, n, 3)
         axes = ((raw[..., 0] << 1) | raw[..., 1]).astype(np.uint8)
         if axes.size and int(axes.max()) > 2:
             raise ValueError("record contains invalid axis codes")
@@ -512,19 +521,44 @@ class ShadowRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ShadowRecord":
+        """Decode :meth:`to_json` output; a malformed document raises
+        :class:`ValueError`."""
         payload = json.loads(text)
-        if payload.get("format") != "shadow-record":
+        if not isinstance(payload, dict) or payload.get("format") != "shadow-record":
             raise ValueError("not a shadow-record JSON document")
-        n = int(payload["n_qubits"])
-        count = int(payload["count"])
+        try:
+            n = int(payload["n_qubits"])
+            count = int(payload["count"])
+            shots = [(shot["axes"], shot["bits"]) for shot in payload["shots"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed shadow-record JSON: {exc!r}") from None
+        if n < 1 or count != len(shots):
+            raise ValueError(
+                f"shadow-record JSON with n_qubits {n} and count {count} "
+                f"holds {len(shots)} shots"
+            )
+        seed, descriptor = payload.get("seed"), payload.get("descriptor", "")
+        if seed is not None and not (type(seed) is int and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be null or a 64-bit unsigned integer, got {seed!r}")
+        if not isinstance(descriptor, str):
+            raise ValueError(f"descriptor must be a string, got {descriptor!r}")
         axes = np.empty((count, n), dtype=np.uint8)
         bits = np.empty((count, n), dtype=np.uint8)
-        for i, shot in enumerate(payload["shots"]):
-            axes[i] = [AXIS_CHARS.index(c) for c in shot["axes"]]
-            bits[i] = [int(c) for c in shot["bits"]]
-        return cls.from_arrays(
-            axes, bits, seed=payload.get("seed"), descriptor=payload.get("descriptor", "")
-        )
+        for i, (axis_text, bit_text) in enumerate(shots):
+            if not (
+                isinstance(axis_text, str)
+                and isinstance(bit_text, str)
+                and len(axis_text) == len(bit_text) == n
+                and set(axis_text) <= set(AXIS_CHARS)
+                and set(bit_text) <= {"0", "1"}
+            ):
+                raise ValueError(
+                    f"shot {i} needs {n} axis letters from {AXIS_CHARS!r} and {n} bits, "
+                    f"got {axis_text!r}, {bit_text!r}"
+                )
+            axes[i] = [AXIS_CHARS.index(c) for c in axis_text]
+            bits[i] = [int(c) for c in bit_text]
+        return cls.from_arrays(axes, bits, seed=seed, descriptor=descriptor)
 
 
 def stream_shadows(

@@ -278,15 +278,18 @@ def load_density_matrix(path) -> DensityMatrix:
         payload = json.load(fh)
     try:
         n = int(payload["n_qubits"])
-        pairs = payload["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidStateError(f"malformed density-matrix file {path}: {exc}") from None
-    dim = 2**n
-    if len(pairs) != dim * dim:
+        flat = np.array([complex(re, im) for re, im in payload["matrix"]], dtype=np.complex128)
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStateError(
-            f"expected {dim * dim} matrix entries in {path}, found {len(pairs)}"
+            f"malformed density-matrix file {path}: expected n_qubits and a list of "
+            f"[re, im] pairs ({exc})"
+        ) from None
+    _check_qubit_count(n)
+    dim = 2**n
+    if flat.size != dim * dim:
+        raise InvalidStateError(
+            f"expected {dim * dim} matrix entries in {path}, found {flat.size}"
         )
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return DensityMatrix(flat.reshape(dim, dim))
 
 

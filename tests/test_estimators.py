@@ -298,6 +298,8 @@ class TestMomentStream:
             MomentStream("ustat", (), PART, 2)
         with pytest.raises(ValueError, match="n_batches"):
             MomentStream("batched", (2,), PART, 2)
+        with pytest.raises(ValueError, match="n_batches"):
+            MomentStream("batched", (2, 3), PART, 2, n_batches=2)
 
     def test_orders_are_sorted_and_deduped(self):
         stream = MomentStream("online-recon", (3, 2, 3), PART, 2)

@@ -67,6 +67,13 @@ class TestExperimentConfig:
         assert config.shots == 5
         assert config.orders == (2,)
 
+    @pytest.mark.parametrize("text", ["null", "[]", "3"])
+    def test_from_json_rejects_non_objects(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json(path)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"shoots": 10})
@@ -97,6 +104,8 @@ class TestExperimentConfig:
             {"tolerance": "small"},
             {"seed": 1.0},
             {"workers": True},
+            {"strategies": ("batched",), "n_batches": 0},
+            {"strategies": ("batched",), "n_batches": 2},
         ],
     )
     def test_validation_failures(self, overrides):
@@ -112,6 +121,8 @@ class TestExperimentConfig:
             ({"orders": 3}, "orders"),
             ({"orders": ["two"]}, "orders"),
             ({"transposed": "x"}, "transposed"),
+            ({"strategies": ["batched"], "n_batches": 0}, "n_batches"),
+            ({"strategies": ["batched"], "n_batches": 2}, "n_batches"),
         ],
     )
     def test_malformed_values_name_the_field(self, payload, field):
@@ -257,6 +268,25 @@ class TestRunExperiment:
         assert "oracle" not in result.run_summaries[0]
         assert result.traces[0]["moments"]["2"][-1] is not None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unphysical_file_state_reaches_the_caller(self, tmp_path, workers):
+        path = tmp_path / "negative.json"
+        dump_density_matrix(DensityMatrix(np.diag([0.7, 0.5, 0.1, -0.3])), path)
+        config = small_config(
+            state_kind="file", state_path=str(path), runs=2, workers=workers, shots=20
+        )
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            run_experiment(config)
+
+    def test_state_is_checked_once_per_run(self, monkeypatch):
+        calls = []
+        check = DensityMatrix.assert_physical
+        monkeypatch.setattr(
+            DensityMatrix, "assert_physical", lambda rho: calls.append(rho) or check(rho)
+        )
+        run_experiment(small_config(runs=3, shots=10))
+        assert len(calls) == 3
+
     def test_file_state_qubit_mismatch(self, tmp_path):
         rho = DensityMatrix(np.eye(2) / 2)
         path = tmp_path / "one_qubit.json"
@@ -306,6 +336,13 @@ class TestExports:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_result(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"shadowstream-result"'])
+    def test_load_result_rejects_non_objects(self, tmp_path, text):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a shadowstream-result"):
             load_result(path)
 
 

@@ -3,9 +3,12 @@
 import functools
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowstream import (
     BornSampler,
@@ -360,6 +363,121 @@ class TestShadowRecord:
         blob[4] = 99
         with pytest.raises(ValueError, match="version"):
             ShadowRecord.from_bytes(bytes(blob))
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 12))
+    axes = draw(st.lists(st.integers(0, 2), min_size=n * count, max_size=n * count))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * count, max_size=n * count))
+    return ShadowRecord.from_arrays(
+        np.array(axes, dtype=np.uint8).reshape(count, n),
+        np.array(bits, dtype=np.uint8).reshape(count, n),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        descriptor=draw(st.text(max_size=6)),
+    )
+
+
+def flips_are_canonical(blob: bytes) -> list[int]:
+    """Bit positions whose flip decodes to a record encoding other bytes."""
+    bad = []
+    for i in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        try:
+            decoded = ShadowRecord.from_bytes(bytes(flipped))
+        except ValueError:
+            continue
+        if decoded.to_bytes() != flipped:
+            bad.append(i)
+    return bad
+
+
+class TestRecordDecoding:
+    """Malformed records raise ValueError; everything that loads is canonical."""
+
+    FLAGS = 16  # byte offset of the seed flags in the SSHR header
+
+    @given(records())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trips_are_identity(self, rec):
+        blob = rec.to_bytes()
+        assert ShadowRecord.from_bytes(blob) == rec
+        assert ShadowRecord.from_bytes(blob).to_bytes() == blob
+        assert ShadowRecord.from_json(rec.to_json()) == rec
+
+    @given(records())
+    @settings(max_examples=30, deadline=None)
+    def test_single_bit_flips_raise_or_reencode_exactly(self, rec):
+        assert flips_are_canonical(rec.to_bytes()) == []
+
+    @given(records())
+    @settings(max_examples=30, deadline=None)
+    def test_strict_prefixes_raise(self, rec):
+        blob = rec.to_bytes()
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                ShadowRecord.from_bytes(blob[:end])
+
+    def test_every_flip_of_a_small_record(self):
+        blob = stream_shadows(werner_state(2, 0.8), 5, 3).to_bytes()
+        assert len(blob) == 46
+        assert flips_are_canonical(blob) == []
+
+    def test_rejects_stray_flag_bits(self):
+        blob = bytearray(stream_shadows(werner_state(2, 0.8), 5, 3).to_bytes())
+        blob[self.FLAGS] |= 0b10
+        with pytest.raises(ValueError, match="flags"):
+            ShadowRecord.from_bytes(bytes(blob))
+
+    def test_rejects_seed_without_flag(self):
+        blob = bytearray(stream_shadows(werner_state(2, 0.8), 5, 3).to_bytes())
+        blob[self.FLAGS] = 0
+        with pytest.raises(ValueError, match="seed"):
+            ShadowRecord.from_bytes(bytes(blob))
+
+    def test_rejects_padding_bits(self):
+        blob = bytearray(stream_shadows(werner_state(2, 0.8), 5, 3).to_bytes())
+        blob[-1] |= 1  # 30 payload bits in 4 bytes leave two padding bits
+        with pytest.raises(ValueError, match="padding"):
+            ShadowRecord.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"count": 3}, "count 3 holds 1"),
+            ({"count": 0}, "count 0 holds 1"),
+            ({"shots": [{"axes": "Z", "bits": "1"}]}, "needs 2 axis letters"),
+            ({"shots": [{"axes": "ZZ", "bits": "1"}]}, "needs 2 axis letters"),
+            ({"shots": [{"axes": "ZQ", "bits": "11"}]}, "needs 2 axis letters"),
+            ({"shots": [{"axes": "ZZ", "bits": "12"}]}, "needs 2 axis letters"),
+            ({"shots": [{"axes": "ZZ"}]}, "malformed"),
+            ({"n_qubits": None}, "malformed"),
+            ({"shots": None}, "malformed"),
+            ({"n_qubits": 0, "shots": [{"axes": "", "bits": ""}]}, "n_qubits 0"),
+            ({"seed": -1}, "seed"),
+            ({"seed": "7"}, "seed"),
+            ({"descriptor": 5}, "descriptor"),
+        ],
+    )
+    def test_malformed_json_raises_value_error(self, payload, message):
+        doc = {
+            "format": "shadow-record",
+            "n_qubits": 2,
+            "count": 1,
+            "seed": None,
+            "shots": [{"axes": "ZZ", "bits": "11"}],
+        }
+        with pytest.raises(ValueError, match=message):
+            ShadowRecord.from_json(json.dumps({**doc, **payload}))
+
+    def test_missing_key_and_foreign_documents(self):
+        with pytest.raises(ValueError, match="malformed"):
+            ShadowRecord.from_json(json.dumps({"format": "shadow-record", "count": 0}))
+        for text in ("[1, 2]", "null", '{"format": "other"}'):
+            with pytest.raises(ValueError, match="not a shadow-record"):
+                ShadowRecord.from_json(text)
 
 
 class TestStreaming:

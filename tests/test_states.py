@@ -1,5 +1,6 @@
 """States, partial transposition, and the Werner reference family."""
 
+import json
 import math
 
 import numpy as np
@@ -277,6 +278,30 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"matrix": []}')
         with pytest.raises(InvalidStateError):
+            load_density_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_qubits": 1, "matrix": [[1.0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n_qubits": 1, "matrix": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n_qubits": 1, "matrix": [["a", 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n_qubits": "one", "matrix": []}',
+            '{"n_qubits": 1, "matrix": 5}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_entries(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidStateError, match="malformed"):
+            load_density_matrix(path)
+
+    @pytest.mark.parametrize("n_qubits", [0, -1, 10**9])
+    def test_qubit_count_out_of_range(self, tmp_path, n_qubits):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_qubits": n_qubits, "matrix": [[1.0, 0.0]]}))
+        with pytest.raises(ValueError, match="qubit"):
             load_density_matrix(path)
 
     def test_wrong_entry_count(self, tmp_path):
