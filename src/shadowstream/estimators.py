@@ -20,10 +20,12 @@ memory / cost / bias plane:
     kernel over all (m-1)-subsets of the past closed with the new
     index.  After every shot it equals the offline U-statistic.
 ``AccumulatorSet``
-    Streaming U-statistic in dense form: m running matrices whose k-th
-    member is the sum over ordered (k+1)-subsets of products of
-    transposed snapshots.  Constant-time updates, 2**N memory, and the
-    same value as the offline U-statistic at every order up to m.
+    Streaming U-statistic in dense form: m running 2**N x 2**N matrices
+    (16 * m * 4**N bytes) whose k-th member is the sum over ordered
+    (k+1)-subsets of products of transposed snapshots.  Updates cost the
+    same at every T, multiplying by the snapshot's Kronecker factors,
+    and give the same value as the offline U-statistic at every order
+    up to m.
 
 :class:`MomentStream` puts one strategy behind a shot-by-shot interface.
 A strategy is an object with a ``streaming`` flag, ``update(snapshot)``
@@ -58,7 +60,7 @@ from .kernel import (
     snapshot_codes,
     subset_index_chunks,
 )
-from .sampler import ShadowRecord, Snapshot, codes_matrix, snapshot_matrix
+from .sampler import ShadowRecord, Snapshot, _kron, codes_matrix, snapshot_matrix
 from .states import MAX_DENSE_QUBITS, _part_qubits, partial_transpose
 from .errors import CapacityError
 
@@ -74,6 +76,10 @@ __all__ = [
     "save_estimator_state",
     "load_estimator_state",
 ]
+
+# Most qubits per Kronecker factor in an accumulator update; below 7
+# qubits one dense factor is fastest.  Measured N = 2..10 in CHANGES.md.
+FACTOR_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -318,11 +324,23 @@ class AccumulatorSet:
     matrix additions and ``order - 1`` multiplications regardless of how
     many shots came before, and every order up to ``order`` can be read
     off the same set; the snapshot itself is discarded after use.
+    Memory is ``16 * order * 4**N`` bytes.
 
     An update transposes the snapshot on its codes (a Y-basis bit flips
-    on each transposed qubit, as in :func:`snapshot_codes`) and builds
-    the dense matrix with :func:`codes_matrix`; no transposed
-    :class:`Snapshot` is created.
+    on each transposed qubit, as in :func:`snapshot_codes`) and splits
+    them into the fewest near-equal blocks of at most ``FACTOR_QUBITS``
+    qubits; :func:`codes_matrix` builds each block's dense factor, so the
+    snapshot is ``F_1 ⊗ ... ⊗ F_b``.  A product ``M @ (A ⊗ C)`` is then
+    one gemm against the right factor, ``M.reshape(-1, c) @ C``, and one
+    batched ``A.T @`` over the ``(d, a, c)`` view of the result, costing
+    ``d**2 * (a + c)`` multiply-adds instead of ``d**3`` (``d = a * c =
+    2**N``); with one block it is the plain ``M @ dense``.
+
+    Every factor entry is 0, +-0.5, +-1.5, 2 or -1 times 1 or i, so every
+    accumulator entry is a dyadic rational and no product or sum rounds
+    while the numerators fit in 53 bits: the factored product equals the
+    dense one bit for bit, zero signs included (a sum from +0 never sees
+    them).  Beyond that point the two differ only at rounding level.
     """
 
     streaming = True
@@ -348,13 +366,32 @@ class AccumulatorSet:
         if matrices is None:
             matrices = np.zeros((order, dim, dim), dtype=np.complex128)
         else:
-            matrices = np.array(matrices, dtype=np.complex128)
+            matrices = np.array(matrices, dtype=np.complex128, order="C")
             if matrices.shape != (order, dim, dim):
                 raise ValueError(
                     f"expected accumulator shape {(order, dim, dim)}, got {matrices.shape}"
                 )
         self._matrices = matrices
         self._shots = int(shots)
+        # The fewest near-equal qubit blocks of at most FACTOR_QUBITS, the
+        # leading ones one qubit larger.  The last block's factor multiplies
+        # the ``(rows, c)`` view of an accumulator; each leading block,
+        # innermost first, then contracts its axis of the ``(batch, f,
+        # rest)`` view it is paired with.
+        blocks = -(-n_qubits // FACTOR_QUBITS) or 1
+        sizes = [n_qubits // blocks + (i < n_qubits % blocks) for i in range(blocks)]
+        edges = [sum(sizes[:i]) for i in range(blocks + 1)]
+        widths = [2**size for size in sizes]
+        self._last = slice(edges[-2], n_qubits)
+        self._steps = [
+            (
+                slice(edges[i], edges[i + 1]),
+                (dim * math.prod(widths[:i]), widths[i], math.prod(widths[i + 1 :])),
+            )
+            for i in range(blocks - 2, -1, -1)
+        ]
+        self._rows = matrices.reshape(order, -1, widths[-1])
+        self._sums = matrices.reshape(order, *(self._steps[-1][1] if self._steps else (dim, dim)))
 
     @property
     def order(self) -> int:
@@ -383,11 +420,21 @@ class AccumulatorSet:
             raise ValueError(
                 f"snapshot has {snapshot.n_qubits} qubits, accumulator has {self._n}"
             )
-        dense = codes_matrix(_pt_codes(snapshot.axes, snapshot.bits, self._mask))
-        mats = self._matrices
+        codes = _pt_codes(snapshot.axes, snapshot.bits, self._mask)
+        last = codes_matrix(codes[self._last])
+        # With one block (N <= FACTOR_QUBITS) no factor list is built at all.
+        steps = self._steps and [
+            (codes_matrix(codes[block]), shape) for block, shape in self._steps
+        ]
+        rows, sums = self._rows, self._sums
         for k in range(self._m - 1, 0, -1):
-            mats[k] += mats[k - 1] @ dense
-        mats[0] += dense
+            prod = rows[k - 1] @ last
+            for factor, shape in steps:
+                prod = np.matmul(factor.T, prod.reshape(shape))
+            sums[k] += prod
+        for factor, _ in steps:
+            last = _kron(factor, last)
+        self._matrices[0] += last
         self._shots += 1
 
     def estimate(self, order: int | None = None) -> MomentEstimate:
@@ -590,13 +637,18 @@ def load_estimator_state(path):
 
     The returned estimator continues exactly as if the stream had never
     been interrupted.  A file that is not exactly one checkpoint (foreign
-    magic, unknown version or kind, truncated or with trailing bytes)
-    raises :class:`ValueError`.
+    magic, unknown version or kind, a part list that is not strictly
+    increasing, truncated or with trailing bytes) raises
+    :class:`ValueError`; whatever loads packs back to the same bytes.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return _unpack_state(fh.read())
+
+
+def _unpack_state(blob: bytes):
+    """The estimator that checkpoint bytes encode; see :func:`load_estimator_state`."""
     if blob[:4] != _STATE_MAGIC:
-        raise ValueError(f"{path} is not an estimator checkpoint")
+        raise ValueError("not an estimator checkpoint: the magic bytes differ")
     (_, version, kind, order, n_qubits, shots), offset = _unpack(
         _STATE_HEADER.format, blob, 0
     )
@@ -604,6 +656,8 @@ def load_estimator_state(path):
         raise ValueError(f"unsupported checkpoint version {version}")
     (n_part,), offset = _unpack("<H", blob, offset)
     part, offset = _unpack(f"<{n_part}H", blob, offset)
+    if list(part) != sorted(set(part)):
+        raise ValueError(f"checkpoint part list {part} is not strictly increasing")
     if kind == _KIND_RECORD:
         (re, im, size), offset = _unpack("<ddQ", blob, offset)
         record = ShadowRecord.from_bytes(_tail(blob, offset, size))

@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"orders must be integers >= 1, got {self.orders}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies must be distinct, got {self.strategies}")
         for name in self.strategies:
             check_strategy(name, self.orders, self.n_batches)
         if self.state_kind == "werner":

@@ -183,6 +183,7 @@ def codes_matrix(codes) -> np.ndarray:
     if codes.ndim != 1 or codes.size == 0:
         raise ValueError(f"expected a nonempty 1-d code array, got shape {codes.shape}")
     n = codes.size
+    codes = codes.tolist()  # Python ints index faster than numpy scalars
     blocks = _pair_blocks()
     out = None
     for lo in range(0, n, 2):

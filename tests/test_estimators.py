@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shadowstream.estimators
 import shadowstream.kernel
@@ -30,8 +32,9 @@ from shadowstream import (
     ustat_offline,
     werner_state,
 )
-from shadowstream.kernel import pt_flip
-from shadowstream.sampler import FACTORS
+from shadowstream.estimators import _pack_state, _unpack_state
+from shadowstream.kernel import pt_flip, snapshot_codes
+from shadowstream.sampler import FACTORS, codes_matrix
 from shadowstream.states import partial_transpose
 
 PART = (1,)
@@ -290,6 +293,90 @@ class TestAccumulatorSet:
             acc.update(Snapshot("X", [0]))
 
 
+def dense_products(record, order, part):
+    """Accumulators built by the plain dense product ``mats[k-1] @ dense``."""
+    dim = 2**record.n_qubits
+    mats = np.zeros((order, dim, dim), dtype=np.complex128)
+    for codes in snapshot_codes(record.axes, record.bits, part):
+        dense = codes_matrix(codes)
+        for k in range(order - 1, 0, -1):
+            mats[k] += mats[k - 1] @ dense
+        mats[0] += dense
+    return mats
+
+
+def accumulate(record, order, part):
+    acc = AccumulatorSet(order, part, record.n_qubits)
+    for snap in record:
+        acc.update(snap)
+    return acc
+
+
+def werner_plus_mixed(n, t):
+    """A Werner state on the even part of ``n`` qubits, times I/2 if ``n`` is odd."""
+    rho = werner_state(n - n % 2, t).entries
+    return DensityMatrix(np.kron(rho, np.eye(2) / 2) if n % 2 else rho)
+
+
+def random_record(n, shots, seed):
+    rng = np.random.default_rng(seed)
+    return ShadowRecord.from_arrays(
+        rng.integers(0, 3, (shots, n)).astype(np.uint8),
+        rng.integers(0, 2, (shots, n)).astype(np.uint8),
+    )
+
+
+class TestFactoredUpdate:
+    """Updates multiply by the snapshot's Kronecker factors; dyadic entries
+    keep every sum exact, so the state equals dense products bit for bit."""
+
+    @pytest.mark.parametrize("t", [0.2, 0.6])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_bytes_equal_dense_products(self, n, t):
+        record = stream_shadows(werner_plus_mixed(n, t), 200, seed=100 + n)
+        part = tuple(range(n // 2, n))
+        acc = accumulate(record, 4, part)
+        assert acc.matrices.tobytes() == dense_products(record, 4, part).tobytes()
+
+    @pytest.mark.parametrize("n, shots", [(9, 6), (10, 3)])
+    def test_short_streams_above_eight_qubits(self, n, shots):
+        record = random_record(n, shots, seed=n)
+        part = tuple(range(n // 2, n))
+        acc = accumulate(record, 4, part)
+        assert acc.matrices.tobytes() == dense_products(record, 4, part).tobytes()
+
+    @pytest.mark.parametrize("factor_qubits", [1, 2, 3, 4])
+    def test_any_block_split_gives_the_same_bytes(self, factor_qubits, monkeypatch):
+        monkeypatch.setattr(shadowstream.estimators, "FACTOR_QUBITS", factor_qubits)
+        record = random_record(5, 60, seed=factor_qubits)
+        acc = accumulate(record, 4, (1, 4))
+        assert len(acc._steps) == -(-5 // factor_qubits) - 1
+        assert acc.matrices.tobytes() == dense_products(record, 4, (1, 4)).tobytes()
+
+    def test_online_recon_equals_offline_ustat(self):
+        record = stream_shadows(werner_state(6, 0.6), 40, seed=61)
+        part = Bipartition.balanced(6)
+        stream = MomentStream("online-recon", (2, 3, 4), part, 6)
+        for t, snap in enumerate(record, start=1):
+            stream.update(snap)
+            if t in (4, 9, 20, 40):
+                for m, est in stream.estimates().items():
+                    offline = ustat_offline(record[:t], m, part).value
+                    assert est.value == pytest.approx(offline, rel=1e-12, abs=0)
+
+    def test_checkpoint_resume_at_eight_qubits(self, tmp_path):
+        record = stream_shadows(werner_state(8, 0.6), 40, seed=88)
+        part = Bipartition.balanced(8)
+        full = accumulate(record, 4, part)
+        path = tmp_path / "n8.ckpt"
+        save_estimator_state(accumulate(record[:15], 4, part), path)
+        resumed = load_estimator_state(path)
+        for snap in record[15:]:
+            resumed.update(snap)
+        assert resumed.matrices.tobytes() == full.matrices.tobytes()
+        assert resumed.shots == full.shots == 40
+
+
 class TestMomentStream:
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -444,3 +531,77 @@ class TestCheckpointFormat:
         path.write_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
         with pytest.raises(ValueError, match="version"):
             load_estimator_state(path)
+
+
+@st.composite
+def checkpointed(draw):
+    """An online estimator of either checkpoint kind in some reachable state."""
+    accumulator = draw(st.booleans())
+    n = draw(st.integers(1, 2 if accumulator else 3))
+    part = draw(st.sets(st.integers(0, n - 1)))
+    order = draw(st.integers(1, 3))
+    shots = draw(st.integers(0, 5))
+    axes = draw(st.lists(st.integers(0, 2), min_size=n * shots, max_size=n * shots))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * shots, max_size=n * shots))
+    record = ShadowRecord.from_arrays(
+        np.array(axes, dtype=np.uint8).reshape(shots, n),
+        np.array(bits, dtype=np.uint8).reshape(shots, n),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+    )
+    if accumulator:
+        return accumulate(record, order, part)
+    return OnlineRecordEstimator(
+        order, part, n, record=record, running_sum=draw(st.complex_numbers())
+    )
+
+
+def flips_that_repack_differently(blob: bytes) -> list[int]:
+    """Bit positions whose flip loads to an estimator packing other bytes."""
+    bad = []
+    for i in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        try:
+            est = _unpack_state(bytes(flipped))
+        except ValueError:
+            continue
+        if _pack_state(est) != flipped:
+            bad.append(i)
+    return bad
+
+
+class TestCheckpointDecoding:
+    """Malformed SSES checkpoints raise ValueError; whatever loads is canonical."""
+
+    @given(checkpointed())
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_save_is_identity(self, est):
+        blob = _pack_state(est)
+        again = _unpack_state(blob)
+        assert type(again) is type(est)
+        assert _pack_state(again) == blob
+
+    @given(checkpointed())
+    @settings(max_examples=30, deadline=None)
+    def test_strict_prefixes_raise(self, est):
+        blob = _pack_state(est)
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                _unpack_state(blob[:end])
+
+    @given(checkpointed())
+    @settings(max_examples=20, deadline=None)
+    def test_single_bit_flips_raise_or_repack_exactly(self, est):
+        assert flips_that_repack_differently(_pack_state(est)) == []
+
+    def test_zero_qubit_accumulators_round_trip(self):
+        blob = _pack_state(AccumulatorSet(2, (), 0))
+        assert _pack_state(_unpack_state(blob)) == blob
+
+    def test_rejects_a_part_list_that_is_not_strictly_increasing(self):
+        blob = bytearray(_pack_state(OnlineRecordEstimator(2, (0, 2), 3)))
+        offset = shadowstream.estimators._STATE_HEADER.size + 2
+        assert blob[offset : offset + 4] == bytes([0, 0, 2, 0])
+        blob[offset] = 2  # the part list now reads (2, 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _unpack_state(bytes(blob))

@@ -106,6 +106,7 @@ class TestExperimentConfig:
             {"workers": True},
             {"strategies": ("batched",), "n_batches": 0},
             {"strategies": ("batched",), "n_batches": 2},
+            {"strategies": ("online-recon", "online-recon")},
         ],
     )
     def test_validation_failures(self, overrides):
@@ -123,6 +124,7 @@ class TestExperimentConfig:
             ({"transposed": "x"}, "transposed"),
             ({"strategies": ["batched"], "n_batches": 0}, "n_batches"),
             ({"strategies": ["batched"], "n_batches": 2}, "n_batches"),
+            ({"strategies": ["plugin", "ustat", "plugin"]}, "strategies"),
         ],
     )
     def test_malformed_values_name_the_field(self, payload, field):
