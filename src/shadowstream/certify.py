@@ -68,25 +68,31 @@ class EspVector:
         return float(self.values[k])
 
 
-def newton_girard(power_sums: Sequence[float], source: str = "estimated") -> EspVector:
+def newton_girard(
+    power_sums: Sequence[float] | np.ndarray, source: str = "estimated"
+) -> EspVector | np.ndarray:
     """Convert power sums ``[p_1, p_2, ..., p_K]`` into ``e_0 .. e_K``.
 
     For trace moments of a unit-trace operator the first entry is 1,
-    but the recurrence itself does not require that.
+    but the recurrence itself does not require that.  A ``(rows, K)``
+    array converts every row with the same operation sequence and
+    returns a plain ``(rows, K + 1)`` array whose rows equal the
+    :class:`EspVector` values of the rows bit for bit; a NaN in ``p_j``
+    makes every ``e_k`` with ``k >= j`` NaN.
     """
     p = np.asarray(power_sums, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"power sums must be a flat sequence, got shape {p.shape}")
-    K = p.size
-    e = np.empty(K + 1)
-    e[0] = 1.0
+    if p.ndim not in (1, 2):
+        raise ValueError(f"power sums must be a sequence or (rows, K) array, got shape {p.shape}")
+    K = p.shape[-1]
+    e = np.empty(p.shape[:-1] + (K + 1,))
+    e[..., 0] = 1.0
     for k in range(1, K + 1):
         acc = 0.0
         for j in range(1, k + 1):
-            term = p[j - 1] * e[k - j]
-            acc += term if j % 2 else -term
-        e[k] = acc / k
-    return EspVector(e, source=source)
+            term = p[..., j - 1] * e[..., k - j]
+            acc = acc + (term if j % 2 else -term)
+        e[..., k] = acc / k
+    return EspVector(e, source=source) if p.ndim == 1 else e
 
 
 def hierarchy_check(esp: EspVector, tolerance: float = 0.0) -> int | None:

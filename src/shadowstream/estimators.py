@@ -33,13 +33,16 @@ and ``estimate(order)``, built by the factory that ``_STRATEGIES`` maps
 its name to: ``online-recon`` is an :class:`AccumulatorSet`;
 ``online-norecon`` a ``_RecordSums`` (one shared record, one running sum
 per order; the engine of :class:`OnlineRecordEstimator`); ``plugin`` a
-``_PluginSum`` (the engine of :func:`plugin_estimate`); ``ustat`` and
-``batched`` a ``_RetainedRecord`` that reruns the offline function.
+``_PluginSum`` (the engine of :func:`plugin_estimate`); ``ustat`` a
+``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints); and
+``batched`` a ``_RetainedRecord`` that reruns :func:`batched_estimate`.
+:meth:`MomentStream.trajectory` feeds a block of shots and returns every
+estimate after each shot as arrays; an :class:`AccumulatorSet` absorbs
+the block as stacked products, every other strategy row by row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import struct
@@ -60,7 +63,14 @@ from .kernel import (
     snapshot_codes,
     subset_index_chunks,
 )
-from .sampler import ShadowRecord, Snapshot, _kron, codes_matrix, snapshot_matrix
+from .sampler import (
+    ShadowRecord,
+    Snapshot,
+    _kron,
+    codes_matrices,
+    codes_matrix,
+    snapshot_matrix,
+)
 from .states import MAX_DENSE_QUBITS, _part_qubits, partial_transpose
 from .errors import CapacityError
 
@@ -80,6 +90,23 @@ __all__ = [
 # Most qubits per Kronecker factor in an accumulator update; below 7
 # qubits one dense factor is fastest.  Measured N = 2..10 in CHANGES.md.
 FACTOR_QUBITS = 6
+
+# Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update.
+_STACK_BYTES = 1 << 20
+
+
+def _comb_floats(shots: np.ndarray, k: int) -> np.ndarray:
+    """``float(math.comb(t, k))`` for each count ``t`` of an int64 array.
+
+    Exact int64 products while ``t**k`` fits, then one correctly rounded
+    conversion, as Python's int-to-float conversion does.
+    """
+    if int(shots.max(initial=0)) ** k < 2**62:
+        comb = np.ones_like(shots)
+        for j in range(k):
+            comb = comb * (shots - j) // (j + 1)
+        return comb.astype(np.float64)
+    return np.array([float(math.comb(t, k)) for t in shots.tolist()])
 
 
 @dataclass(frozen=True)
@@ -420,7 +447,10 @@ class AccumulatorSet:
             raise ValueError(
                 f"snapshot has {snapshot.n_qubits} qubits, accumulator has {self._n}"
             )
-        codes = _pt_codes(snapshot.axes, snapshot.bits, self._mask)
+        self._absorb(_pt_codes(snapshot.axes, snapshot.bits, self._mask))
+
+    def _absorb(self, codes: np.ndarray) -> None:
+        """One shot's update from its transposed codes."""
         last = codes_matrix(codes[self._last])
         # With one block (N <= FACTOR_QUBITS) no factor list is built at all.
         steps = self._steps and [
@@ -436,6 +466,71 @@ class AccumulatorSet:
             last = _kron(factor, last)
         self._matrices[0] += last
         self._shots += 1
+
+    def trajectory(
+        self, axes: np.ndarray, bits: np.ndarray, orders
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb the rows of ``(B, N)`` axes and bits; return the estimates
+        of ``orders`` after each row as ``(values, defined)``, both ``(B,
+        len(orders))``.
+
+        Up to ``FACTOR_QUBITS`` qubits the block is absorbed as stacked
+        products: with ``R_t`` the transposed snapshots, ``S_k`` after row
+        ``t`` is ``S_k`` before the block plus the prefix sum of ``S_{k-1,
+        t-1} @ R_t``, one batched product and one ``cumsum`` per order,
+        in row chunks whose three live stacks stay within ``_STACK_BYTES``.
+        Beyond that each row takes the factored per-shot update.  Either
+        way every value equals the per-shot ``update``/``estimate`` pair
+        bit for bit: all entries are dyadic, so no sum rounds while the
+        numerators fit in 53 bits, and ``tr / comb(t, k)`` in float64 is
+        the real part of Python's ``complex / int``.
+        """
+        if axes.shape[1] != self._n:
+            raise ValueError(f"shots have {axes.shape[1]} qubits, accumulator has {self._n}")
+        codes = _pt_codes(axes, bits, self._mask)
+        rows = len(codes)
+        traces = np.empty((rows, self._m), dtype=np.complex128)
+        if self._steps:
+            for i, row in enumerate(codes):
+                self._absorb(row)
+                for k in range(self._m):
+                    traces[i, k] = np.trace(self._matrices[k])
+        else:
+            step = max(1, _STACK_BYTES // (3 * self._matrices[0].nbytes))
+            for lo in range(0, rows, step):
+                self._absorb_stacked(codes[lo : lo + step], traces[lo : lo + step])
+            self._shots += rows
+        shots = np.arange(self._shots - rows + 1, self._shots + 1)
+        values = np.empty((rows, len(orders)))
+        defined = np.empty((rows, len(orders)), dtype=bool)
+        for col, k in enumerate(orders):
+            defined[:, col] = shots >= k
+            values[:, col] = traces[:, k - 1].real / np.where(
+                defined[:, col], _comb_floats(shots, k), 1.0
+            )
+        values[~defined] = np.nan
+        return values, defined
+
+    def _absorb_stacked(self, codes: np.ndarray, traces: np.ndarray) -> None:
+        """Absorb a chunk of rows as stacked products (see :meth:`trajectory`)
+        and write each order's trace after each row into ``traces``."""
+        snaps = codes_matrices(codes)
+        mats = self._matrices
+        lower = None
+        for k in range(self._m):
+            if lower is None:
+                running = np.cumsum(snaps, axis=0)
+            else:
+                # S_{k-1} before each row: the stored value, then the trajectory.
+                running = np.empty_like(snaps)
+                np.matmul(mats[k - 1], snaps[0], out=running[0])
+                np.matmul(lower[:-1], snaps[1:], out=running[1:])
+                mats[k - 1] = lower[-1]
+                np.cumsum(running, axis=0, out=running)
+            running += mats[k]
+            traces[:, k] = np.trace(running, axis1=1, axis2=2)
+            lower = running
+        mats[-1] = lower[-1]
 
     def estimate(self, order: int | None = None) -> MomentEstimate:
         k = self._m if order is None else order
@@ -473,37 +568,63 @@ class _PluginSum:
 
 
 class _RetainedRecord:
-    """Keeps every shot (``update`` is the record's ``append``) and re-reads
-    the record with an offline estimator ``offline(record, order)`` on
+    """The ``batched`` strategy: keeps every shot (``update`` is the record's
+    ``append``) and reruns :func:`batched_estimate` over the record on
     request; orders it cannot form yet are undefined."""
 
     streaming = False
 
-    def __init__(self, offline, n_qubits: int):
-        self._offline = offline
+    def __init__(self, part, n_qubits: int, n_batches: int):
+        self._part = part
+        self._n_batches = n_batches
         self._record = ShadowRecord(n_qubits)
         self.update = self._record.append
 
     def estimate(self, order: int) -> MomentEstimate:
         try:
-            return self._offline(self._record, order)
+            return batched_estimate(self._record, order, self._part, self._n_batches)
         except InsufficientDataError:
             return _undefined(order, len(self._record))
 
 
-def _batched_strategy(orders, part, n_qubits, n_batches):
-    offline = functools.partial(batched_estimate, part=part, n_batches=n_batches)
-    return _RetainedRecord(offline, n_qubits)
+class _PacedRecordSums(_RecordSums):
+    """The ``ustat`` strategy: ``_RecordSums`` read only at checkpoints.
+
+    Its running sums equal :func:`ustat_offline` bit for bit while every
+    partial sum is exact.  An order-m kernel value is a Gaussian integer
+    times ``2**(-m*N)`` of modulus at most ``2**((m+1)*N)``, so a sum of
+    ``C(T, m)`` of them is exact in any order while ``C(T, m) *
+    2**((2*m+1)*N) <= 2**53``.  That worst case first fails at T =
+
+    ====  ==========  =====  =====
+    N     m = 2       m = 3  m = 4
+    ====  ==========  =====  =====
+    1     23726567    75021  4535
+    2     4194305     14887  955
+    3     741456      2955   202
+    4     131073      588    44
+    5     23171       118    11
+    6     4097        25     4
+    ====  ==========  =====  =====
+
+    and earlier still for more qubits.  Random signs keep real sums far
+    below this bound, so in practice they stay exact much longer; past
+    it the two agree to rounding.
+    """
+
+    streaming = False
 
 
 # Strategy name -> factory(orders, part, n_qubits, n_batches); ``orders``
 # is sorted and ``part`` normalised.  The only place strategy names live.
 _STRATEGIES = {
-    "ustat": lambda orders, part, n_qubits, n_batches: _RetainedRecord(
-        functools.partial(ustat_offline, part=part), n_qubits
+    "ustat": lambda orders, part, n_qubits, n_batches: _PacedRecordSums(
+        part, ShadowRecord(n_qubits), {m: 0j for m in orders if m >= 2}
     ),
     "plugin": lambda orders, part, n_qubits, n_batches: _PluginSum(part, n_qubits),
-    "batched": _batched_strategy,
+    "batched": lambda orders, part, n_qubits, n_batches: _RetainedRecord(
+        part, n_qubits, n_batches
+    ),
     "online-norecon": lambda orders, part, n_qubits, n_batches: _RecordSums(
         part, ShadowRecord(n_qubits), {m: 0j for m in orders if m >= 2}
     ),
@@ -537,9 +658,9 @@ class MomentStream:
     ``strategy`` names an entry of the strategy table (see the module
     docstring).  Order 1 is pinned to the exact value 1; the streaming
     strategies (plug-in and both online ones) refresh their estimates
-    after every shot, while ``ustat`` and ``batched`` recompute from the
-    retained record whenever estimates are requested, which is far more
-    expensive and intended for checkpoint-paced use.
+    after every shot, while ``ustat`` and ``batched`` are meant to be read
+    at checkpoints only (``batched`` recomputes from the retained record
+    whenever estimates are requested).
     """
 
     def __init__(
@@ -572,6 +693,36 @@ class MomentStream:
     def update(self, snapshot: Snapshot) -> None:
         self._estimator.update(snapshot)
         self._shots += 1
+
+    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        """:meth:`update` by each row of ``(B, N)`` axes and bits."""
+        for row_axes, row_bits in zip(axes, bits):
+            self.update(Snapshot(row_axes, row_bits))
+
+    def trajectory(self, axes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Update by each row of ``(B, N)`` axes and bits and return every
+        order's estimate after each row: ``(values, defined)``, both of
+        shape ``(B, len(orders))``, values NaN where undefined.
+
+        A strategy with its own ``trajectory`` absorbs the block as arrays;
+        any other goes through :meth:`update` and :meth:`estimates` row by
+        row.
+        """
+        block = getattr(self._estimator, "trajectory", None)
+        if block is None:
+            values = np.empty((len(axes), len(self.orders)))
+            defined = np.empty((len(axes), len(self.orders)), dtype=bool)
+            for i, (row_axes, row_bits) in enumerate(zip(axes, bits)):
+                self.update(Snapshot(row_axes, row_bits))
+                for col, est in enumerate(self.estimates().values()):
+                    values[i, col], defined[i, col] = est.value, est.well_defined
+            return values, defined
+        values, defined = block(axes, bits, [m for m in self.orders if m > 1])
+        self._shots += len(axes)
+        if self.orders[0] == 1:  # pinned to 1 from the first shot on
+            values = np.hstack([np.ones((len(axes), 1)), values])
+            defined = np.hstack([np.ones((len(axes), 1), dtype=bool), defined])
+        return values, defined
 
     def estimates(self) -> dict[int, MomentEstimate]:
         """Current per-order estimates (undefined entries carry NaN values)."""

@@ -51,7 +51,6 @@ import json
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -61,7 +60,12 @@ from ._version import __version__
 from .certify import EspVector, descartes_bound, hierarchy_check, newton_girard
 from .errors import InvalidStateError
 from .estimators import MomentStream, check_strategy
-from .sampler import BornSampler, shot_rng, stream_shadows
+from .sampler import (  # shot_rng: unused here, but perfbench/layers.py wraps runner.shot_rng
+    BLOCK_SHOTS,
+    BornSampler,
+    shot_rng,
+    stream_shadows,
+)
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -275,18 +279,36 @@ class _StopMonitor:
         self._streak = 0
         self.fired_at: int | None = None
 
-    def push(self, shot: int, value: float) -> None:
+    def push(self, shots, values) -> int | None:
+        """Feed one iterate or arrays of them in shot order.
+
+        Returns the shot at which this call made the monitor fire, if it
+        did; later iterates are then ignored.
+        """
         if self.fired_at is not None:
-            return
-        if self._prev is not None:
-            delta = abs(value - self._prev)
-            if delta == 0.0 or delta < self._tol * max(abs(value), abs(self._prev)):
-                self._streak += 1
-            else:
-                self._streak = 0
-            if self._streak >= self._window:
-                self.fired_at = shot
-        self._prev = value
+            return None
+        shots = np.atleast_1d(shots)
+        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        if self._prev is None and values.size:  # the first iterate only sets the reference
+            self._prev, shots, values = float(values[0]), shots[1:], values[1:]
+        if not values.size:
+            return None
+        prev = np.concatenate([[self._prev], values[:-1]])
+        self._prev = float(values[-1])
+        delta = np.abs(values - prev)
+        calm = (delta == 0.0) | (delta < self._tol * np.maximum(np.abs(values), np.abs(prev)))
+        # Streak after each step: the calm steps since the last other one,
+        # added to the carried streak while there has been none.
+        steps = np.arange(1, calm.size + 1)
+        reset = np.maximum.accumulate(np.where(calm, 0, steps))
+        streak = np.where(reset == 0, self._streak + steps, steps - reset)
+        fired = np.flatnonzero(streak >= self._window)
+        if fired.size:
+            self.fired_at = int(shots[fired[0]])
+            return self.fired_at
+        if streak.size:
+            self._streak = int(streak[-1])
+        return None
 
 
 def _clean(value) -> float | None:
@@ -319,28 +341,94 @@ def run_seed_for(base_seed: int, run: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _checkpoint_due(shot: int, config: ExperimentConfig) -> bool:
-    stride = config.stride_dense if shot <= config.stride_switch else config.stride_sparse
-    return shot % stride == 0
+def _checkpoints_due(shots: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Which of the given shot counts are checkpoints (the last shot always is)."""
+    stride = np.where(shots <= config.stride_switch, config.stride_dense, config.stride_sparse)
+    return (shots % stride == 0) | (shots == config.shots)
 
 
-def _append_checkpoint(trace: MomentTrace, shot: int, estimates: dict) -> None:
-    trace.shots.append(shot)
-    available: list[float] = [1.0]
-    contiguous = True
-    esp_ceiling = max(trace.esps) if trace.esps else 1
-    for k in range(2, esp_ceiling + 1):
-        est = estimates.get(k)
-        if contiguous and est is not None and est.well_defined:
-            available.append(est.value)
-        else:
-            contiguous = False
-    esp = newton_girard(available).values
-    for m in trace.orders:
-        est = estimates[m]
-        trace.moments[m].append(_clean(est.value) if est.well_defined else None)
+def _block_bounds(total: int):
+    """``(start, stop)`` shot blocks: short ones first, since a stopping run
+    wastes the rest of its last block, growing to ``BLOCK_SHOTS``."""
+    start, size = 0, BLOCK_SHOTS // 4
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, BLOCK_SHOTS)
+
+
+def _cleaned(values: np.ndarray) -> list[float | None]:
+    return [None if math.isnan(v) else v for v in values.tolist()]
+
+
+def _append_checkpoints(
+    trace: MomentTrace, shots: np.ndarray, values: np.ndarray, defined: np.ndarray
+) -> None:
+    """Record checkpoints from rows of estimates (columns follow ``trace.orders``).
+
+    ESPs are derived from p_1 = 1 and the longest run p_2, p_3, ... of
+    defined moments; the rest of a row is NaN, so its ESPs come out NaN.
+    """
+    trace.shots.extend(shots.tolist())
+    for col, m in enumerate(trace.orders):
+        trace.moments[m].extend(_cleaned(np.where(defined[:, col], values[:, col], np.nan)))
+    cols = [trace.orders.index(k) for k in range(2, max(trace.esps) + 1)]
+    power = np.ones((len(shots), len(cols) + 1))
+    contiguous = np.logical_and.accumulate(defined[:, cols], axis=1)
+    power[:, 1:] = np.where(contiguous, values[:, cols], np.nan)
+    esp = newton_girard(power)
     for k in trace.esps:
-        trace.esps[k].append(_clean(esp[k]) if k < esp.size else None)
+        trace.esps[k].extend(_cleaned(esp[:, k]))
+
+
+def _observe(monitors: dict, orders, shots, values, defined, watch: int | None) -> int | None:
+    """Push each order's defined estimates to its monitor.
+
+    With ``watch`` set (the order that stops the run), the rows end at the
+    shot where that order's monitor fires; that row's index is returned.
+    """
+    stop = None
+    if watch is not None:
+        col = orders.index(watch)
+        fired = monitors[watch].push(shots[defined[:, col]], values[defined[:, col], col])
+        if fired is not None:
+            stop = int(np.searchsorted(shots, fired))
+            shots, values, defined = shots[: stop + 1], values[: stop + 1], defined[: stop + 1]
+    for col, m in enumerate(orders):
+        if m != watch:
+            monitors[m].push(shots[defined[:, col]], values[defined[:, col], col])
+    return stop
+
+
+def _paced_reads(stream: MomentStream, axes, bits, shots, reads, observe):
+    """Feed a checkpoint-paced stream the block, reading it at rows ``reads``.
+
+    Each read goes through ``observe``; reading ends at the row where it
+    reports a stop.  Returns the rows read, their estimates and the stop
+    row (or None).
+    """
+    rows, values, defined = [], [], []
+    done, stop = 0, None
+    for row in reads.tolist():
+        stream.advance(axes[done : row + 1], bits[done : row + 1])
+        done = row + 1
+        estimates = stream.estimates()
+        rows.append(row)
+        values.append([estimates[m].value for m in stream.orders])
+        defined.append([estimates[m].well_defined for m in stream.orders])
+        last = slice(row, row + 1)
+        if observe(shots[last], np.array(values[-1:]), np.array(defined[-1:])) is not None:
+            stop = row
+            break
+    else:
+        stream.advance(axes[done:], bits[done:])
+    width = len(stream.orders)
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(values, dtype=np.float64).reshape(-1, width),
+        np.array(defined, dtype=bool).reshape(-1, width),
+        stop,
+    )
 
 
 def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
@@ -369,33 +457,39 @@ def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
         for name in config.strategies
     }
     primary = config.strategies[0]
-    target = config.target
     sampler = BornSampler(rho)
     stop_shot: int | None = None
 
-    for index in range(config.shots):
-        shot = index + 1
-        snapshot = sampler.sample(shot_rng(seed, index))
-        due = _checkpoint_due(shot, config) or shot == config.shots
-        stopping = False
-        # The primary strategy comes first, so whether this shot stops the
-        # run is known before any other stream decides whether to read.
+    for start, end in _block_bounds(config.shots):
+        axes, bits = sampler.sample_block(seed, start, end)
+        shots = np.arange(start + 1, end + 1)
+        due = _checkpoints_due(shots, config)
+        stop = None  # row of this block's stop shot, once known
+        # The primary strategy comes first, so where the block stops is
+        # known before any other stream reads it.
         for name, stream in streams.items():
-            stream.update(snapshot)
-            if not (stream.streaming or due or stopping):
-                continue
-            estimates = stream.estimates()
-            for m, monitor in monitors[name].items():
-                if estimates[m].well_defined:
-                    monitor.push(shot, estimates[m].value)
-            if name == primary:
-                stopping = (
-                    config.stop_on_convergence and monitors[name][target].fired_at is not None
+            watch = config.target if name == primary and config.stop_on_convergence else None
+            rows = len(shots) if stop is None else stop + 1
+            observe = functools.partial(_observe, monitors[name], stream.orders, watch=watch)
+            if stream.streaming:
+                values, defined = stream.trajectory(axes[:rows], bits[:rows])
+                cut = observe(shots[:rows], values, defined)
+                read = np.arange(rows if cut is None else cut + 1)
+                values, defined = values[read], defined[read]
+            else:
+                reads = due[:rows].copy()
+                if stop is not None:
+                    reads[stop] = True
+                read, values, defined, cut = _paced_reads(
+                    stream, axes[:rows], bits[:rows], shots, np.flatnonzero(reads), observe
                 )
-            if due or stopping:
-                _append_checkpoint(traces[name], shot, estimates)
-        if stopping:
-            stop_shot = shot
+            if watch is not None:
+                stop = cut
+            keep = due[read] | (read == stop)
+            if keep.any():
+                _append_checkpoints(traces[name], shots[read][keep], values[keep], defined[keep])
+        if stop is not None:
+            stop_shot = int(shots[stop])
             break
 
     for name, trace in traces.items():
@@ -501,6 +595,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     config = config.validated()
     if config.workers > 1 and config.runs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         worker = functools.partial(_run_single, config)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_run = list(pool.map(worker, range(config.runs)))

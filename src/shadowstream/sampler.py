@@ -10,10 +10,28 @@ factor associated with outcome ``b`` in basis ``P`` is
 and the tensor product of these factors across qubits is an unbiased
 (if wildly unphysical) estimate of the measured state.
 
-Randomness is counter-based: shot ``i`` of a stream seeds a Philox
-generator with ``(seed, i)``, so any shot can be regenerated in
-isolation and generation order (or thread count) cannot change the
-record.
+Randomness is counter-based: shot ``i`` of a stream is drawn from the
+Philox4x64-10 generator ``shot_rng(seed, i)`` (key ``(seed, 0)``, counter
+``(0, 0, i, 0)``), so any shot can be regenerated in isolation and
+generation order (or thread count) cannot change the record.
+
+Shots are generated in blocks.  ``shot_rng(seed, i)`` first bumps its
+counter to ``(1, 0, i, 0)``, and the first two 64-bit words of that
+Philox block settle the whole shot when nothing is rejected:
+
+* axis ``q`` (``q < N <= 8``) is byte ``q`` of word 0, low byte first,
+  mapped to ``(3 * byte) >> 8`` by numpy's Lemire rule for
+  ``integers(0, 3)``; the rule rejects ``byte == 0`` and draws again;
+* the outcome uniform is ``(word 1 >> 11) * 2**-53``, as in ``random()``.
+
+:meth:`BornSampler.sample_block` computes those words for a whole block
+at once with a numpy Philox (:func:`_philox_words`, after Salmon et al.,
+SC'11), groups the block's shots by basis and looks each group's
+uniforms up in the cached cumulative distribution.  A shot whose draws
+those two words do not settle (a rejected byte, or more than 8 qubits)
+is drawn through ``shot_rng`` and :meth:`BornSampler.sample` instead.
+Both routes draw the same numbers, so records do not depend on which
+one produced them.
 """
 
 from __future__ import annotations
@@ -21,7 +39,6 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,6 +55,7 @@ __all__ = [
     "inverse_channel_factor",
     "snapshot_matrix",
     "codes_matrix",
+    "codes_matrices",
     "shot_rng",
     "sample_snapshot",
     "iter_snapshots",
@@ -195,6 +213,28 @@ def codes_matrix(codes) -> np.ndarray:
     return out
 
 
+def codes_matrices(codes: np.ndarray) -> np.ndarray:
+    """:func:`codes_matrix` of every row of a ``(B, N)`` code array, as a
+    new ``(B, 2**N, 2**N)`` array; the same products, so the same bits."""
+    rows, n = codes.shape
+    codes = codes.astype(np.intp)
+    flat = FACTORS.reshape(6, 2, 2)
+    blocks = _pair_blocks()
+    out = None
+    for lo in range(0, n, 2):
+        if lo + 1 < n:
+            block = blocks[6 * codes[:, lo] + codes[:, lo + 1]]
+        else:
+            block = flat[codes[:, lo]]
+        if out is None:
+            out = block
+        else:
+            out = (out[:, :, None, :, None] * block[:, None, :, None, :]).reshape(
+                rows, out.shape[1] * block.shape[1], -1
+            )
+    return out
+
+
 def shot_rng(seed: int, index: int) -> np.random.Generator:
     """The generator for shot ``index`` of the stream with the given seed.
 
@@ -206,6 +246,48 @@ def shot_rng(seed: int, index: int) -> np.random.Generator:
     if index < 0:
         raise ValueError(f"shot index must be nonnegative, got {index}")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+
+
+# Most shots drawn (and, in the runner, estimated) as one array block.
+BLOCK_SHOTS = 256
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _SHIFT32
+_PHILOX_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None]
+
+
+def _philox_words(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first two raw words of ``shot_rng(seed, i)`` for ``start <= i < stop``.
+
+    Philox4x64-10 on counters ``(1, 0, i, 0)`` with key ``(seed, 0)``; the
+    two multiplied words of each round are kept as one ``(2, B)`` array,
+    and the high half of each 64x64-bit product is built from 32-bit halves.
+    """
+    keys = np.array([[seed], [0]], dtype=np.uint64) + _PHILOX_ROUNDS * _PHILOX_WEYL
+    mul = np.empty((2, stop - start), dtype=np.uint64)
+    mul[0] = 1
+    mul[1] = np.arange(start, stop, dtype=np.uint64)
+    mix = np.zeros_like(mul)
+    for key in keys:
+        low, high = mul & _LOW32, mul >> _SHIFT32
+        carry = high * _PHILOX_MUL_LO
+        carry += (low * _PHILOX_MUL_LO) >> _SHIFT32
+        middle = low * _PHILOX_MUL_HI
+        middle += carry & _LOW32
+        high *= _PHILOX_MUL_HI
+        high += carry >> _SHIFT32
+        high += middle >> _SHIFT32
+        mul *= _PHILOX_MUL
+        # (c0, c1, c2, c3) <- (hi(c2) ^ c1 ^ k0, lo(c2), hi(c0) ^ c3 ^ k1, lo(c0))
+        high = high[::-1]
+        high ^= mix
+        high ^= key
+        mul, mix = high, mul[::-1]
+    return mul[0], mix[0]
 
 
 def _pauli_expectations(rho: DensityMatrix) -> np.ndarray:
@@ -293,6 +375,35 @@ class BornSampler:
         index = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
         bits = ((index >> self._shifts) & 1).astype(np.uint8)
         return Snapshot(axes, bits)
+
+    def sample_block(self, seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Shots ``start .. stop-1`` of the stream as ``(B, N)`` uint8 axes and bits.
+
+        Row ``i`` equals ``self.sample(shot_rng(seed, start + i))``; see the
+        module docstring for which shots take that route.
+        """
+        n, count = self._n, stop - start
+        axes = np.empty((count, n), dtype=np.uint8)
+        bits = np.empty((count, n), dtype=np.uint8)
+        fallback = np.arange(count)
+        if self._cache is not None and count > 0:
+            raw_axes, raw_uniform = _philox_words(seed, start, stop)
+            scaled = ((raw_axes[:, None] >> np.arange(0, 8 * n, 8, dtype=np.uint64)) & 0xFF) * 3
+            settled = (scaled & 0xFF).all(axis=1)
+            fallback = np.flatnonzero(~settled)
+            drawn = axes[settled] = (scaled[settled] >> 8).astype(np.uint8)
+            uniform = (raw_uniform[settled] >> np.uint64(11)) * 2.0**-53
+            keys = drawn.astype(np.intp) @ 3 ** np.arange(n - 1, -1, -1)
+            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+            cdfs = np.array([self._cdf(row.tobytes(), row)[1] for row in drawn[first]])
+            # ``searchsorted(cdf, u, side="right")`` counts the entries <= u.
+            below = np.count_nonzero(cdfs.reshape(-1, 1 << n)[group] <= uniform[:, None], axis=1)
+            index = np.minimum(below, (1 << n) - 1)
+            bits[settled] = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        for i in fallback.tolist():
+            snap = self.sample(shot_rng(seed, start + i))
+            axes[i], bits[i] = snap.axes, snap.bits
+        return axes, bits
 
 
 def sample_snapshot(rho: DensityMatrix, rng: np.random.Generator) -> Snapshot:
@@ -582,14 +693,15 @@ def stream_shadows(
     bits = np.empty((count, n), dtype=np.uint8)
 
     def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            snap = sampler.sample(shot_rng(seed, i))
-            axes[i] = snap.axes
-            bits[i] = snap.bits
+        for start in range(lo, hi, BLOCK_SHOTS):
+            stop = min(start + BLOCK_SHOTS, hi)
+            axes[start:stop], bits[start:stop] = sampler.sample_block(seed, start, stop)
 
     if workers <= 1 or count < 2:
         fill(0, count)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         step = -(-count // workers)
         bounds = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -52,7 +52,7 @@ class TestNewtonGirard:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            newton_girard(np.ones((2, 2)))
+            newton_girard(np.ones((2, 2, 2)))
 
 
 class TestEspVector:

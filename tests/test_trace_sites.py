@@ -52,14 +52,23 @@ def test_tracer_wraps_exactly_these_sites(layers):
     assert targets == set(CALL_SITES)
 
 
+# Runs draw and estimate shots in blocks.  ``shot_rng`` and
+# ``BornSampler.sample`` fire only for shots the block sampler hands back
+# to the per-shot route, and an accumulator absorbs a block without
+# ``MomentStream.update`` or ``estimates``; every other strategy still
+# goes through both, row by row.
+ROW_BY_ROW = {"estimators.update", "estimators.estimates"}
+
+
 @pytest.mark.parametrize(
     "strategy, spans",
     [
-        ("online-recon", {"sampler.shot_rng", "sampler.sample", "certify.newton_girard"}),
-        ("plugin", {"sampler.snapshot_matrix"}),
+        ("online-recon", set()),
+        ("plugin", {"sampler.snapshot_matrix"} | ROW_BY_ROW),
         (
             "online-norecon",
-            {"kernel.snapshot_codes", "kernel.subset_index_chunks", "kernel.batch_code_traces"},
+            {"kernel.snapshot_codes", "kernel.subset_index_chunks", "kernel.batch_code_traces"}
+            | ROW_BY_ROW,
         ),
     ],
 )
@@ -71,4 +80,13 @@ def test_traced_run_reaches_the_wrapped_sites(layers, strategy, spans):
     with layers.installed(tracer), tracer.request_span(0):
         run_experiment(config)
     seen = set(tracer.names)
-    assert spans | {"estimators.update", "estimators.estimates", "states.assert_physical"} <= seen
+    assert spans | {"certify.newton_girard", "states.assert_physical"} <= seen
+
+
+def test_traced_run_reaches_the_sampler_fallback(layers):
+    """Seed 3 draws shots that the block sampler hands to the per-shot route."""
+    config = ExperimentConfig(shots=300, stop_on_convergence=False, seed=3)
+    tracer = layers.Tracer()
+    with layers.installed(tracer), tracer.request_span(0):
+        run_experiment(config)
+    assert "sampler.sample" in tracer.names
