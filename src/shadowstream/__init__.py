@@ -47,12 +47,7 @@ from .estimators import (
     save_estimator_state,
     ustat_offline,
 )
-from .kernel import (
-    PauliTraceTable,
-    pt_flip,
-    tuple_trace_direct,
-    tuple_trace_expansion,
-)
+from .kernel import pt_flip, tuple_trace_direct
 from .runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -109,8 +104,6 @@ __all__ = [
     # kernel
     "pt_flip",
     "tuple_trace_direct",
-    "tuple_trace_expansion",
-    "PauliTraceTable",
     # estimators
     "MomentEstimate",
     "ustat_offline",

@@ -18,7 +18,8 @@ memory / cost / bias plane:
     Streaming U-statistic.  Keeps only the classical record (two bytes
     per qubit-shot) and a running sum; each new shot contributes the
     kernel over all (m-1)-subsets of the past closed with the new
-    index.  After every shot it equals the offline U-statistic.
+    index, the new shot folded into the chain tables once.  After every
+    shot it equals the offline U-statistic.
 ``AccumulatorSet``
     Streaming U-statistic in dense form: m running 2**N x 2**N matrices
     (16 * m * 4**N bytes) whose k-th member is the sum over ordered
@@ -58,7 +59,10 @@ from .kernel import (
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
+    closing_tables,
     factors_from_codes,
+    group_codes,
+    group_width,
     pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
     subset_index_chunks,
@@ -143,26 +147,23 @@ def _finish(order: int, shots: int, scaled: complex, dropped: int = 0) -> Moment
     return MomentEstimate(order, shots, scaled.real, True, abs(scaled.imag), dropped)
 
 
-def _chunk_evaluator(codes: np.ndarray, order: int):
-    """Kernel evaluation over one record's snapshot codes.
+def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None) -> complex:
+    """The trace kernel summed over the k-subsets of the rows of ``codes``.
 
-    Returns a callable mapping ``(K, order)`` index arrays to kernel
-    values: chain-trace table lookups up to ``CHAIN_TABLE_MAX``, the
-    explicit 2x2 factor chain beyond that.  Both give identical bits.
+    With ``tables``, a :func:`batch_code_traces` lookup in them; without,
+    the 2x2 factor chains of per-qubit ``codes``, each closed by the
+    ``closing`` factors when given.  Block by block, in lexicographic
+    order, so the reduction order depends only on the shape.
     """
-    if order <= CHAIN_TABLE_MAX:
-        table = chain_trace_table(order)
-
-        def evaluate(indices: np.ndarray) -> np.ndarray:
-            return batch_code_traces(codes, indices, table)
-
-    else:
+    total = 0.0 + 0.0j
+    if tables is None:
         factors = factors_from_codes(codes)
-
-        def evaluate(indices: np.ndarray) -> np.ndarray:
-            return batch_tuple_traces(factors, indices)
-
-    return evaluate
+        for chunk in subset_index_chunks(len(codes), k):
+            total += batch_tuple_traces(factors, chunk, closing).sum()
+    else:
+        for chunk in subset_index_chunks(len(codes), k):
+            total += batch_code_traces(codes, chunk, tables).sum()
+    return total
 
 
 def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
@@ -178,10 +179,13 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
         raise InsufficientDataError(
             f"the order-{order} U-statistic needs at least {order} shots, have {shots}"
         )
-    evaluate = _chunk_evaluator(snapshot_codes(record.axes, record.bits, part), order)
-    total = 0.0 + 0.0j
-    for chunk in subset_index_chunks(shots, order):
-        total += evaluate(chunk).sum()
+    codes = snapshot_codes(record.axes, record.bits, part)
+    tables = None
+    if order <= CHAIN_TABLE_MAX:
+        # The same chain table for every qubit, laid out once for the gathers.
+        tables = np.tile(chain_trace_table(order), (record.n_qubits, 1))
+        tables = tables.reshape((record.n_qubits,) + (6,) * order)
+    total = _kernel_sum(codes, order, tables)
     return _finish(order, shots, total / math.comb(shots, order))
 
 
@@ -244,7 +248,32 @@ class _RecordSums:
     ``sums`` maps each order m to the running sum of the kernel over all
     m-subsets of the record; a new shot adds the subsets it closes.  An
     update encodes only the shots appended since the previous one (the
-    whole record after a restore), so every shot is encoded once.
+    whole record after a restore), so every shot is encoded once, and
+    keeps each encoded shot's :func:`group_codes` beside its codes.
+
+    The new shot is the last member of every subset it closes, so an
+    order-m update folds its codes into the chain tables once
+    (:func:`closing_tables`) and evaluates only the ``(m-1)``-subsets of
+    the past: ``N / g`` gathers and multiplies per tuple, with ``g =
+    group_width(m, N)`` qubits per gather (4 at m = 2, 2 at m = 3, 1
+    from m = 4), instead of ``m * N`` code gathers, ``N`` table gathers
+    and ``N`` multiplies.  Grouped products equal the left-to-right
+    qubit products bit for bit while every ``2**m`` times a chain trace
+    has modulus at most ``M_m`` and ``M_m**N <= 2**53``:
+
+    ====  =====  ==========
+    m     M_m    exact to N
+    ====  =====  ==========
+    2     20     12
+    3     56     9
+    4     272    6
+    5     992    5
+    6     4160   4
+    ====  =====  ==========
+
+    and beyond that ``g`` is 1, so the sums equal the closed-tuple
+    evaluation bit for bit at every N.  Orders past ``CHAIN_TABLE_MAX``
+    close each 2x2 factor chain with the new shot's factors instead.
     """
 
     streaming = True
@@ -253,7 +282,13 @@ class _RecordSums:
         self.record = record
         self.sums = sums
         self._part = part
-        self._codes = np.empty((0, record.n_qubits), dtype=np.uint8)
+        n_qubits = record.n_qubits
+        self._widths = {m: group_width(m, n_qubits) for m in sums if m <= CHAIN_TABLE_MAX}
+        self._codes = np.empty((0, n_qubits), dtype=np.uint8)
+        self._grouped = {
+            g: np.empty((0, -(-n_qubits // g)), dtype=np.uint16)
+            for g in set(self._widths.values()) - {1}
+        }
         self._encoded = 0
 
     def update(self, snapshot: Snapshot) -> None:
@@ -261,31 +296,40 @@ class _RecordSums:
         record.append(snapshot)
         total = len(record)
         if total > self._codes.shape[0]:
-            grown = np.empty((max(16, 2 * total), record.n_qubits), dtype=np.uint8)
-            grown[:done] = self._codes[:done]
-            self._codes = grown
-        self._codes[done:total] = snapshot_codes(
-            record.axes[done:], record.bits[done:], self._part
-        )
+            self._codes = _grown(self._codes, done, total)
+            for g, grouped in self._grouped.items():
+                self._grouped[g] = _grown(grouped, done, total)
+        fresh_codes = snapshot_codes(record.axes[done:], record.bits[done:], self._part)
+        self._codes[done:total] = fresh_codes
+        for g, grouped in self._grouped.items():
+            grouped[done:total] = group_codes(fresh_codes, g)
         self._encoded = total
-        codes, latest = self._codes[:total], total - 1
         for m in self.sums:
-            if total < m:
-                continue
-            evaluate = _chunk_evaluator(codes, m)
-            fresh = 0.0 + 0.0j
-            for chunk in subset_index_chunks(latest, m - 1):
-                closed = np.concatenate(
-                    [chunk, np.full((chunk.shape[0], 1), latest, dtype=np.int64)], axis=1
-                )
-                fresh += evaluate(closed).sum()
-            self.sums[m] += fresh
+            if total >= m:
+                self.sums[m] += self._fresh(m)
+
+    def _fresh(self, m: int) -> complex:
+        """The kernel summed over the m-subsets the latest shot closes."""
+        latest = self._encoded - 1
+        last = self._codes[latest]
+        if m > CHAIN_TABLE_MAX:
+            return _kernel_sum(self._codes[:latest], m - 1, closing=factors_from_codes(last))
+        g = self._widths[m]
+        codes = self._codes if g == 1 else self._grouped[g]
+        return _kernel_sum(codes[:latest], m - 1, closing_tables(m, last, g))
 
     def estimate(self, order: int) -> MomentEstimate:
         shots = len(self.record)
         if shots < order:
             return _undefined(order, shots)
         return _finish(order, shots, self.sums[order] / math.comb(shots, order))
+
+
+def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
+    """A copy of the first ``done`` rows with room for at least ``total``."""
+    grown = np.empty((max(16, 2 * total),) + rows.shape[1:], dtype=rows.dtype)
+    grown[:done] = rows[:done]
+    return grown
 
 
 class OnlineRecordEstimator:
@@ -610,6 +654,13 @@ class _PacedRecordSums(_RecordSums):
     and earlier still for more qubits.  Random signs keep real sums far
     below this bound, so in practice they stay exact much longer; past
     it the two agree to rounding.
+
+    The kernel values themselves are bit-equal to the offline ones at
+    every N: ``2**m`` times a chain trace has modulus at most ``M_m`` =
+    20, 56, 272 at m = 2, 3, 4, so the grouped lookups of ``_RecordSums``
+    multiply without rounding up to N = 12, 9, 6 qubits (see the table
+    there), and past that they multiply qubit by qubit as the offline
+    lookup does.
     """
 
     streaming = False

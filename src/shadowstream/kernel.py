@@ -19,10 +19,14 @@ evaluators exploit this: snapshots compress to six-valued codes and
 chain traces become table lookups, with results identical bit for bit
 to multiplying the matrices out.
 
-A second evaluation path expands each 2x2 chain over subsets of the
-tuple and reads Pauli-product traces from a precomputed table, and a
-third builds everything densely; they exist to cross-check the direct
-path and each other.
+The record-only estimator adds each new shot's subsets, all of which end
+in that shot.  It folds the shot's codes into the chain tables once
+(:func:`closing_tables`) and looks up only the earlier members; runs of
+qubits share one lookup through combined codes (:func:`group_codes`)
+wherever no product of table values can round (:func:`group_width`).
+
+A dense evaluation builds every reconstruction and multiplies full
+matrices; it is the one independent cross-check of the direct path.
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ __all__ = [
     "chain_trace_table",
     "CHAIN_TABLE_MAX",
     "tuple_trace_direct",
-    "tuple_trace_expansion",
     "tuple_trace_dense",
     "batch_tuple_traces",
     "batch_code_traces",
+    "group_width",
+    "group_codes",
+    "closing_tables",
     "subset_index_chunks",
-    "PauliTraceTable",
-    "default_pauli_trace_table",
 ]
 
 # Upper bound on gathered (tuple, position, qubit) factor slots per chunk;
@@ -58,10 +62,23 @@ __all__ = [
 # pure function of the problem shape.
 _CHUNK_SLOTS = 1 << 20
 
+# Tuples per block of a table-lookup evaluation; each value is computed
+# on its own, so the block size bounds temporaries and nothing else.
+_CODE_ROWS = 1 << 13
+
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
 # materializes 6**m 2x2 matrices, so 6 keeps the cache at a few MB.
 CHAIN_TABLE_MAX = 6
+
+# Every entry of ``2**m * chain_trace_table(m)`` is a Gaussian integer of
+# modulus at most CHAIN_NUMERATORS[m], so a product of N chain traces
+# never rounds, in any grouping, while CHAIN_NUMERATORS[m]**N <= 2**53:
+# up to GROUPED_EXACT_QUBITS[m] qubits.
+CHAIN_NUMERATORS = {1: 2, 2: 20, 3: 56, 4: 272, 5: 992, 6: 4160}
+GROUPED_EXACT_QUBITS = {
+    m: max(n for n in range(1, 64) if top**n <= 2**53) for m, top in CHAIN_NUMERATORS.items()
+}
 
 # Factor matrices in code order (code = 2 * axis + bit).
 _FACTORS_FLAT = FACTORS.reshape(6, 2, 2)
@@ -148,48 +165,149 @@ def chain_trace_table(length: int) -> np.ndarray:
 
 
 def batch_code_traces(
-    codes: np.ndarray, indices: np.ndarray, table: np.ndarray | None = None
+    codes: np.ndarray, indices: np.ndarray, tables: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the trace kernel for many index tuples via table lookup.
 
-    Equivalent to ``batch_tuple_traces(factors_from_codes(codes), indices)``
-    — bit for bit, since chunk boundaries and reduction order match —
-    but each per-qubit chain trace is a single gather from the
-    precomputed :func:`chain_trace_table` instead of a run of 2x2
-    products, which is roughly 6x faster on streaming workloads.
+    ``codes`` is a ``(T, G)`` array of per-shot code columns and
+    ``tables`` a ``(G, B, ..., B)`` stack with one axis per tuple
+    position: row ``(i_1, ..., i_k)`` evaluates to the product over
+    columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
+    codes[i_k, g]]``.
+
+    The default ``tables`` is :func:`chain_trace_table` for every column,
+    so with the six-valued per-qubit codes of :func:`snapshot_codes` each
+    row is a whole tuple and the result equals
+    ``batch_tuple_traces(factors_from_codes(codes), indices)`` bit for bit,
+    but each per-qubit chain trace is a single gather instead of a run of
+    2x2 products.  Six-valued columns (``B = 6``) multiply as
+    ``.prod(axis=1)`` does, rounding included; the wider columns of
+    :func:`group_codes`, which :func:`group_width` forms only where no
+    product rounds, multiply elementwise.
     """
     codes = np.asarray(codes)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 2:
-        raise ValueError(f"indices must be (K, m), got shape {indices.shape}")
-    count, m = indices.shape
-    if m < 1:
-        raise ValueError("tuples must have at least one element")
-    if table is None:
-        table = chain_trace_table(m)
-    if table.size != 6**m:
-        raise ValueError(f"table covers chains of length {m}? size is {table.size}")
-    n_qubits = codes.shape[1]
+        raise ValueError(f"indices must be (K, k), got shape {indices.shape}")
+    count, k = indices.shape
+    groups = codes.shape[1]
+    if tables is None:
+        if k < 1:
+            raise ValueError("tuples must have at least one element")
+        tables = np.broadcast_to(chain_trace_table(k).reshape((6,) * k), (groups,) + (6,) * k)
+    base = tables.shape[-1] if k else 1
+    if tables.shape != (groups,) + (base,) * k:
+        raise ValueError(
+            f"{k}-tuples over {groups} code columns need tables of shape "
+            f"{(groups,) + ('B',) * k}, got {tables.shape}"
+        )
+    flat = np.ascontiguousarray(tables).reshape(groups, -1)
+    # Column g's key is sum_j codes[i_j, g] * B**(k-1-j).  The scaled codes
+    # are laid out column-major once per call, so a block costs one 1-D
+    # gather per column and tuple position.
+    scaled = [codes.T.astype(np.intp) * base ** (k - 1 - j) for j in range(k)]
+    per_qubit = groups > 1 and base <= 6
+    values = np.empty((min(count, _CODE_ROWS), groups), dtype=np.complex128) if per_qubit else None
     out = np.empty(count, dtype=np.complex128)
-    rows = max(1, _CHUNK_SLOTS // max(1, m * n_qubits))
-    for lo in range(0, count, rows):
-        gathered = codes[indices[lo : lo + rows]]
-        key = gathered[:, 0].astype(np.int32)
-        for j in range(1, m):
-            key *= 6
-            key += gathered[:, j]
-        out[lo : lo + rows] = table[key].prod(axis=1)
+    for lo in range(0, count, _CODE_ROWS):
+        chunk = indices[lo : lo + _CODE_ROWS]
+        block = out[lo : lo + _CODE_ROWS]
+        for g in range(groups):
+            key = scaled[0][g].take(chunk[:, 0]) if k else np.zeros(len(chunk), dtype=np.intp)
+            for j in range(1, k):
+                key += scaled[j][g].take(chunk[:, j])
+            if per_qubit:
+                values[: len(chunk), g] = flat[g].take(key)
+            elif g == 0:
+                flat[0].take(key, out=block)
+            else:
+                block *= flat[g].take(key)
+        if per_qubit:
+            values[: len(chunk)].prod(axis=1, out=block)
     return out
 
 
-def batch_tuple_traces(factors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def group_width(order: int, n_qubits: int) -> int:
+    """Qubits per group of :func:`closing_tables` for ``order``-tuples.
+
+    The widest ``g`` with ``g * (order - 1) <= 4``, so that a group table
+    holds at most ``6**4`` entries: 4 at order 2, 2 at order 3, 1 from
+    order 4.  A grouped product ``(t_0 t_1)(t_2 t_3)`` equals the
+    left-to-right ``((t_0 t_1) t_2) t_3`` only while no partial product
+    rounds, so past :data:`GROUPED_EXACT_QUBITS` the width is 1.
+    """
+    if order < 2 or order > CHAIN_TABLE_MAX or n_qubits > GROUPED_EXACT_QUBITS[order]:
+        return 1
+    return max(1, min(4 // (order - 1), n_qubits))
+
+
+def group_codes(codes: np.ndarray, width: int) -> np.ndarray:
+    """Combine ``(T, N)`` six-valued codes into ``(T, ceil(N / width))``
+    group codes ``sum_p c_p * 6**(width - 1 - p)`` over each run of
+    ``width`` consecutive qubits, a short last group padded with code 0."""
+    shots, n_qubits = codes.shape
+    groups = -(-n_qubits // width)
+    padded = np.zeros((shots, groups * width), dtype=np.uint16)
+    padded[:, :n_qubits] = codes
+    return padded.reshape(shots, groups, width) @ 6 ** np.arange(width - 1, -1, -1, dtype=np.uint16)
+
+
+_GATHERS: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _group_gathers(k: int, width: int, n_qubits: int) -> np.ndarray:
+    """``(width, groups, 6**(k * width))`` indices into the flattened
+    ``(n_qubits + 1, 6**k)`` stack of folded tables, the last row ones:
+    entry ``[p, g, key]`` is where qubit p of group g finds its chain
+    trace for the group key whose base-6 digit ``(j, p)`` is that
+    qubit's code at tuple position j.  Padding qubits read the ones."""
+    gathers = _GATHERS.get((k, width, n_qubits))
+    if gathers is None:
+        digits = np.indices((6,) * (k * width)).reshape(k, width, -1)
+        keys = np.tensordot(6 ** np.arange(k - 1, -1, -1), digits, axes=1)
+        groups = -(-n_qubits // width)
+        qubits = np.minimum(np.arange(groups * width), n_qubits).reshape(groups, width)
+        gathers = qubits.T[:, :, None] * 6**k + keys[:, None, :]
+        gathers.setflags(write=False)
+        _GATHERS[k, width, n_qubits] = gathers
+    return gathers
+
+
+def closing_tables(order: int, last: np.ndarray, width: int) -> np.ndarray:
+    """:func:`batch_code_traces` tables for ``(order - 1)``-tuples closed
+    by one fixed shot with per-qubit codes ``last``.
+
+    Qubit q's folded table ``chain_trace_table(order).reshape(-1, 6)[:,
+    last[q]]`` holds the traces of every chain that ends in that shot.  A
+    group's table, over the :func:`group_codes` of ``width`` qubits, is
+    the outer product of its qubits' folded tables, multiplied left to
+    right; the padding qubits of a short last group contribute ones.
+    """
+    k, n_qubits = order - 1, len(last)
+    folded = np.ones((n_qubits + 1, 6**k), dtype=np.complex128)
+    folded[:n_qubits] = chain_trace_table(order).reshape(-1, 6).T[last]
+    if width == 1:
+        return folded[:n_qubits].reshape((n_qubits,) + (6,) * k)
+    gathers = _group_gathers(k, width, n_qubits)
+    flat = folded.reshape(-1)
+    tables = flat.take(gathers[0])
+    for p in range(1, width):
+        tables *= flat.take(gathers[p])
+    return tables.reshape((len(tables),) + (6**width,) * k)
+
+
+def batch_tuple_traces(
+    factors: np.ndarray, indices: np.ndarray, last: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate the trace kernel for many index tuples at once.
 
     ``factors`` is an ``(items, F, d, d)`` stack of per-qubit factor
     chains (``d = 2`` for snapshots; the dense batched estimator passes
     ``F = 1`` with larger ``d``).  ``indices`` has shape ``(K, m)``;
     row ``(i_1, ..., i_m)`` contributes
-    ``prod_f tr(factors[i_1, f] @ ... @ factors[i_m, f])``.
+    ``prod_f tr(factors[i_1, f] @ ... @ factors[i_m, f])``.  An ``(F, d,
+    d)`` ``last`` closes every chain with one more fixed factor, the
+    same products as appending its index to every row.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 2:
@@ -205,6 +323,8 @@ def batch_tuple_traces(factors: np.ndarray, indices: np.ndarray) -> np.ndarray:
         chain = gathered[:, 0]
         for j in range(1, m):
             chain = chain @ gathered[:, j]
+        if last is not None:
+            chain = chain @ last
         traces = np.trace(chain, axis1=-2, axis2=-1)
         out[lo : lo + rows] = traces.prod(axis=1)
     return out
@@ -281,102 +401,6 @@ def tuple_trace_direct(snapshots: Sequence[Snapshot], part) -> complex:
         chain = chain @ factors[j]
     traces = np.trace(chain, axis1=-2, axis2=-1)
     return complex(traces.prod())
-
-
-class PauliTraceTable:
-    """Traces of ordered Pauli products, keyed by the axis sequence.
-
-    ``trace((a_1, ..., a_l))`` returns ``tr(P_{a_1} ... P_{a_l})``,
-    which is 0 unless the ordered product is proportional to the
-    identity, in which case it is ``2 * phase``.  Sequences are
-    precomputed up to ``max_length`` (default 8, matching the highest
-    supported moment order of the expansion path).
-    """
-
-    def __init__(self, max_length: int = 8):
-        if max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {max_length}")
-        self._max_length = max_length
-        paulis = [
-            np.array([[0, 1], [1, 0]], dtype=np.complex128),
-            np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-            np.array([[1, 0], [0, -1]], dtype=np.complex128),
-        ]
-        traces: dict[tuple[int, ...], complex] = {(): 2.0 + 0.0j}
-        level = {(): np.eye(2, dtype=np.complex128)}
-        for _ in range(max_length):
-            nxt: dict[tuple[int, ...], np.ndarray] = {}
-            for seq, mat in level.items():
-                for a in range(3):
-                    prod = mat @ paulis[a]
-                    key = seq + (a,)
-                    nxt[key] = prod
-                    traces[key] = complex(prod[0, 0] + prod[1, 1])
-            level = nxt
-        self._traces = traces
-
-    @property
-    def max_length(self) -> int:
-        return self._max_length
-
-    def trace(self, axes: tuple[int, ...]) -> complex:
-        if len(axes) > self._max_length:
-            raise UnsupportedOrderError(
-                f"Pauli trace table covers sequences up to length {self._max_length}, "
-                f"got {len(axes)}"
-            )
-        return self._traces[tuple(int(a) for a in axes)]
-
-
-_DEFAULT_TABLE: PauliTraceTable | None = None
-
-
-def default_pauli_trace_table() -> PauliTraceTable:
-    """The lazily built shared table (max length 8)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = PauliTraceTable()
-    return _DEFAULT_TABLE
-
-
-def tuple_trace_expansion(
-    snapshots: Sequence[Snapshot], part, table: PauliTraceTable | None = None
-) -> complex:
-    """Subset-expansion evaluation of the trace kernel.
-
-    Each qubit's 2x2 chain ``prod_j (I/2 + (3/2) s_j P_j)`` is expanded
-    over subsets of the tuple; a subset contributes
-    ``(1/2)**(m-|S|) (3/2)**|S| prod(signs) tr(prod paulis)`` with the
-    Pauli product taken in shot order.  Exists as a structurally
-    different cross-check of :func:`tuple_trace_direct`; cost grows as
-    ``2**m`` per qubit.
-    """
-    if table is None:
-        table = default_pauli_trace_table()
-    axes, bits = _tuple_fields(snapshots)
-    m, n = axes.shape
-    if m > table.max_length:
-        raise UnsupportedOrderError(
-            f"expansion path supports tuples up to length {table.max_length}, got {m}"
-        )
-    mask = _transpose_mask(part, n)
-    effective = bits ^ ((axes == AXIS_Y) & mask[None, :])
-    signs = 1.0 - 2.0 * effective.astype(np.float64)
-    total = 1.0 + 0.0j
-    for q in range(n):
-        qubit_sum = 0.0 + 0.0j
-        for subset_bits in range(1 << m):
-            members = [j for j in range(m) if subset_bits >> j & 1]
-            pauli_trace = table.trace(tuple(axes[j, q] for j in members))
-            if pauli_trace == 0:
-                continue
-            weight = 0.5 ** (m - len(members)) * 1.5 ** len(members)
-            sign = 1.0
-            for j in members:
-                sign *= signs[j, q]
-            qubit_sum += weight * sign * pauli_trace
-        total *= qubit_sum
-    return complex(total)
 
 
 def tuple_trace_dense(snapshots: Sequence[Snapshot], part) -> complex:

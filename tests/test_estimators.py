@@ -32,8 +32,17 @@ from shadowstream import (
     ustat_offline,
     werner_state,
 )
-from shadowstream.estimators import _pack_state, _unpack_state
-from shadowstream.kernel import pt_flip, snapshot_codes
+from shadowstream.estimators import _pack_state, _RecordSums, _unpack_state
+from shadowstream.kernel import (
+    batch_code_traces,
+    batch_tuple_traces,
+    chain_trace_table,
+    factors_from_codes,
+    group_width,
+    pt_flip,
+    snapshot_codes,
+    subset_index_chunks,
+)
 from shadowstream.sampler import FACTORS, codes_matrix
 from shadowstream.states import partial_transpose
 
@@ -210,6 +219,79 @@ class TestIncrementalCodes:
             resumed.update(snap)
         assert encoded_rows == [1, 18, 1, 1, 1, 1, 1, 1, 1, 1]
         assert resumed.running_sum == full.running_sum
+
+
+def closed_tuple_fresh(codes, latest, m, table):
+    """Reference for one shot's fresh sum: every (m-1)-subset of the
+    earlier shots with ``latest`` appended, each whole tuple evaluated
+    through ``table`` on every qubit, summed block by block."""
+    tables = np.broadcast_to(table.reshape((6,) * m), (codes.shape[1],) + (6,) * m)
+    fresh = 0.0 + 0.0j
+    for chunk in subset_index_chunks(latest, m - 1):
+        closed = np.concatenate([chunk, np.full((len(chunk), 1), latest)], axis=1)
+        fresh += batch_code_traces(codes, closed, tables).sum()
+    return fresh
+
+
+class TestClosingShotFold:
+    """``_RecordSums`` folds the new shot into the chain tables and groups
+    qubits; its fresh sums equal the closed-tuple evaluation byte for byte."""
+
+    @staticmethod
+    def assert_fresh_sums_match(n, m, shots, seed, table=None, checked=None):
+        record = random_record(n, shots, seed)
+        part = tuple(range(0, n, 2))
+        codes = snapshot_codes(record.axes, record.bits, part)
+        sums = _RecordSums(part, ShadowRecord(n), {m: 0j})
+        for t in range(shots):
+            sums.update(record[t])
+            if t + 1 < m or (checked is not None and t not in checked):
+                continue
+            want = closed_tuple_fresh(codes, t, m, chain_trace_table(m) if table is None else table)
+            got = sums._fresh(m)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (n, m, t)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_small_records(self, m):
+        for n in range(1, 7):
+            self.assert_fresh_sums_match(n, m, 9, seed=10 * m + n)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_short_records_at_large_n(self, n, m):
+        self.assert_fresh_sums_match(n, m, 12, seed=100 * n + m)
+
+    def test_across_a_subset_block_boundary(self):
+        # From 363 earlier shots on, the pairs of the past fill two blocks.
+        assert len(list(subset_index_chunks(362, 2))) == 1
+        assert len(list(subset_index_chunks(363, 2))) == 2
+        self.assert_fresh_sums_match(4, 3, 366, seed=5, checked={361, 362, 363, 364, 365})
+
+    def test_orders_past_the_tables(self):
+        # Order 7 has no chain table; the new shot's 2x2 factors close
+        # every chain of the past instead of being appended to each tuple.
+        record = random_record(2, 10, seed=7)
+        factors = factors_from_codes(snapshot_codes(record.axes, record.bits, PART))
+        sums = _RecordSums(PART, ShadowRecord(2), {7: 0j})
+        for t in range(10):
+            sums.update(record[t])
+            if t < 6:
+                continue
+            want = 0.0 + 0.0j
+            for chunk in subset_index_chunks(t, 6):
+                closed = np.concatenate([chunk, np.full((len(chunk), 1), t)], axis=1)
+                want += batch_tuple_traces(factors, closed).sum()
+            assert np.complex128(sums._fresh(7)).tobytes() == np.complex128(want).tobytes()
+
+    @pytest.mark.parametrize("n, m", [(3, 4), (10, 3), (13, 2)])
+    def test_qubit_order_where_groups_are_single(self, monkeypatch, n, m):
+        # A non-dyadic table rounds in every product, so only the parent's
+        # left-to-right qubit order reproduces its bytes.
+        assert group_width(m, n) == 1
+        rng = np.random.default_rng(n + m)
+        table = rng.normal(size=6**m) + 1j * rng.normal(size=6**m)
+        monkeypatch.setattr(shadowstream.kernel, "chain_trace_table", lambda length: table)
+        self.assert_fresh_sums_match(n, m, 8, seed=m, table=table)
 
 
 class TestAccumulatorSet:

@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from shadowstream import (
-    PauliTraceTable,
     Snapshot,
     UnsupportedOrderError,
     partial_transpose,
     pt_flip,
     snapshot_matrix,
     tuple_trace_direct,
-    tuple_trace_expansion,
 )
 from shadowstream.kernel import (
+    CHAIN_NUMERATORS,
     CHAIN_TABLE_MAX,
+    GROUPED_EXACT_QUBITS,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
+    closing_tables,
     factors_from_codes,
+    group_codes,
+    group_width,
     snapshot_codes,
     subset_index_chunks,
     transposed_factors,
@@ -103,6 +106,14 @@ class TestDirectPath:
             tuple_trace_direct([], ())
 
 
+def table_trace(snaps, part) -> complex:
+    """The kernel of one tuple through the chain-table lookup path."""
+    axes = np.stack([s.axes for s in snaps])
+    bits = np.stack([s.bits for s in snaps])
+    codes = snapshot_codes(axes, bits, part)
+    return complex(batch_code_traces(codes, np.arange(len(snaps))[None])[0])
+
+
 class TestPathAgreement:
     @pytest.mark.parametrize("n_qubits,m", [(1, 3), (2, 2), (2, 4), (3, 3)])
     def test_three_paths_agree(self, n_qubits, m):
@@ -112,10 +123,10 @@ class TestPathAgreement:
             size = int(rng.integers(0, n_qubits + 1))
             part = tuple(sorted(rng.choice(n_qubits, size=size, replace=False).tolist()))
             direct = tuple_trace_direct(snaps, part)
-            expansion = tuple_trace_expansion(snaps, part)
+            table = table_trace(snaps, part)
             dense = tuple_trace_dense(snaps, part)
             assert direct == pytest.approx(dense, rel=1e-12, abs=1e-12)
-            assert expansion == pytest.approx(dense, rel=1e-12, abs=1e-12)
+            assert table == direct
 
     def test_complex_values_survive(self):
         # Odd mixed-axis chains are genuinely complex; all paths must
@@ -124,7 +135,7 @@ class TestPathAgreement:
         direct = tuple_trace_direct(snaps, ())
         assert abs(direct.imag) > 1.0
         assert tuple_trace_dense(snaps, ()) == pytest.approx(direct)
-        assert tuple_trace_expansion(snaps, ()) == pytest.approx(direct)
+        assert table_trace(snaps, ()) == direct
 
 
 class TestBatchEvaluation:
@@ -212,6 +223,39 @@ class TestCodePath:
         assert not table.flags.writeable
 
 
+class TestClosingTables:
+    @pytest.mark.parametrize("m", range(1, CHAIN_TABLE_MAX + 1))
+    def test_numerators_bound_the_chain_tables(self, m):
+        scaled = chain_trace_table(m) * 2**m
+        assert np.array_equal(scaled.real, np.round(scaled.real))
+        assert np.array_equal(scaled.imag, np.round(scaled.imag))
+        assert np.abs(scaled).max() == CHAIN_NUMERATORS[m]
+
+    def test_group_widths(self):
+        assert GROUPED_EXACT_QUBITS == {1: 53, 2: 12, 3: 9, 4: 6, 5: 5, 6: 4}
+        widths = {(m, n): group_width(m, n) for m in range(1, 8) for n in (1, 2, 4, 9, 10, 12, 13)}
+        assert [widths[2, n] for n in (1, 2, 4, 9, 10, 12, 13)] == [1, 2, 4, 4, 4, 4, 1]
+        assert [widths[3, n] for n in (1, 2, 4, 9, 10, 12, 13)] == [1, 2, 2, 2, 1, 1, 1]
+        assert {w for (m, _), w in widths.items() if m not in (2, 3)} == {1}
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 2)])
+    def test_grouped_lookup_matches_closed_tuples(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        codes = rng.integers(0, 6, (20, n)).astype(np.uint8)
+        g = group_width(m, n)
+        past = rng.integers(0, 19, (300, m - 1))
+        closed = np.concatenate([past, np.full((300, 1), 19)], axis=1)
+        folded = batch_code_traces(
+            group_codes(codes[:19], g), past, closing_tables(m, codes[19], g)
+        )
+        assert np.array_equal(folded, batch_code_traces(codes, closed))
+
+    def test_group_codes(self):
+        codes = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], dtype=np.uint8)
+        assert group_codes(codes, 2).tolist() == [[8, 22, 30], [34, 20, 6]]
+        assert group_codes(codes, 1).tolist() == codes.tolist()
+
+
 class TestSubsetEnumeration:
     @pytest.mark.parametrize("n,k", [(5, 0), (5, 1), (6, 2), (7, 3), (6, 6), (4, 5)])
     def test_matches_itertools(self, n, k):
@@ -258,44 +302,3 @@ class TestSubsetEnumeration:
         # strictly increasing in lexicographic key
         keys = stacked[:, 0] * 40 + stacked[:, 1]
         assert np.all(np.diff(keys) > 0)
-
-
-class TestPauliTraceTable:
-    def test_frozen_entries(self):
-        table = PauliTraceTable(max_length=3)
-        assert table.trace(()) == 2.0
-        for a in range(3):
-            assert table.trace((a,)) == 0.0
-            for b in range(3):
-                assert table.trace((a, b)) == (2.0 if a == b else 0.0)
-        # XY = iZ, so XYZ = i Z^2 = iI and the trace is 2i.
-        assert table.trace((0, 1, 2)) == pytest.approx(2j)
-        assert table.trace((2, 1, 0)) == pytest.approx(-2j)
-
-    def test_against_dense_products(self):
-        paulis = [
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
-        table = PauliTraceTable(max_length=4)
-        for length in range(1, 5):
-            for seq in itertools.product(range(3), repeat=length):
-                product = np.eye(2, dtype=complex)
-                for a in seq:
-                    product = product @ paulis[a]
-                assert table.trace(seq) == pytest.approx(np.trace(product), abs=1e-15)
-
-    def test_length_cap(self):
-        table = PauliTraceTable(max_length=2)
-        with pytest.raises(UnsupportedOrderError):
-            table.trace((0, 1, 2))
-
-    def test_expansion_rejects_long_tuples(self):
-        snaps = [Snapshot("X", [0])] * 9
-        with pytest.raises(UnsupportedOrderError):
-            tuple_trace_expansion(snaps, ())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PauliTraceTable(max_length=0)

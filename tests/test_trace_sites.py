@@ -6,6 +6,7 @@ names (for example onto a base class) makes traced benchmark runs raise
 ``KeyError`` or silently stop timing a layer.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -14,6 +15,13 @@ import pytest
 import shadowstream.estimators as estimators
 import shadowstream.runner as runner
 from shadowstream import BornSampler, DensityMatrix, ExperimentConfig, MomentStream, run_experiment
+from shadowstream import (
+    OnlineRecordEstimator,
+    load_estimator_state,
+    save_estimator_state,
+    stream_shadows,
+    werner_state,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,3 +98,50 @@ def test_traced_run_reaches_the_sampler_fallback(layers):
     with layers.installed(tracer), tracer.request_span(0):
         run_experiment(config)
     assert "sampler.sample" in tracer.names
+
+
+# ``perfbench/run.py --trace 1`` marks a record-only run failed unless the
+# tuples its ``batch_code_traces`` wrap counted equal sum_m C(T, m), the
+# formula of ``perfbench/stats.record_tuples``.  These runs hold any kernel
+# change to that count without running the benchmark.
+@pytest.fixture
+def counted_tuples(monkeypatch):
+    counts = []
+    original = estimators.batch_code_traces
+
+    def counting(codes, indices, *args, **kwargs):
+        counts.append(len(indices))
+        return original(codes, indices, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "batch_code_traces", counting)
+    return counts
+
+
+def record_tuples(shots, orders):
+    return sum(math.comb(shots, m) for m in orders if m >= 2)
+
+
+@pytest.mark.parametrize("strategy", ["online-norecon", "ustat"])
+@pytest.mark.parametrize("n_qubits", [2, 4])
+@pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4)])
+def test_record_runs_count_every_subset_once(counted_tuples, strategy, n_qubits, orders):
+    config = ExperimentConfig(
+        n_qubits=n_qubits, orders=orders, strategies=(strategy,), shots=40,
+        stop_on_convergence=False, seed=9, stride_dense=10,
+    )
+    run_experiment(config)
+    assert sum(counted_tuples) == record_tuples(40, orders)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_resumed_record_counts_every_subset_once(counted_tuples, tmp_path, order):
+    record = stream_shadows(werner_state(4, 0.9), 40, seed=4)
+    online = OnlineRecordEstimator(order, (1, 3), 4)
+    for snap in list(record)[:23]:
+        online.update(snap)
+    path = tmp_path / "online.ckpt"
+    save_estimator_state(online, path)
+    resumed = load_estimator_state(path)
+    for snap in list(record)[23:]:
+        resumed.update(snap)
+    assert sum(counted_tuples) == record_tuples(40, (order,))
