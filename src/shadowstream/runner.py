@@ -31,7 +31,10 @@ with defaults)::
 
 Each run streams shots, updates every selected estimator, applies the
 stopping rule to the primary (first-listed) strategy, and records
-checkpoints.  Streaming strategies are read, and feed their stopping
+checkpoints.  Shots are estimated in blocks of 64, 128, then
+``BLOCK_SHOTS`` and drawn in coarser sampling chunks (see
+:func:`_shot_blocks`); neither size changes a byte of the output.
+Streaming strategies are read, and feed their stopping
 monitors, after every shot; checkpoint-paced ones (``ustat`` and
 ``batched``) only at checkpoints and at the stop shot, so a run whose
 primary strategy is checkpoint-paced stops only at a checkpoint.
@@ -40,7 +43,8 @@ Results are written twice: a JSON document carrying the full config,
 traces, per-run summaries and campaign summary, and a gnuplot-friendly
 CSV with ``#`` comment headers and one row per checkpoint.  Both are
 byte-stable: rerunning the same config and seed reproduces them
-exactly, regardless of ``workers``.
+exactly, regardless of ``workers``.  One formatting pass over each
+trace column serves both files (:func:`_column_text`, :func:`_csv_cells`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import numbers
+import operator
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -128,7 +133,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "orders", _int_set("orders", self.orders))
-        object.__setattr__(self, "strategies", tuple(str(s) for s in self.strategies))
+        try:
+            strategies = tuple(str(s) for s in self.strategies)
+        except TypeError:
+            raise ValueError(
+                f"strategies must be a list of names, got {self.strategies!r}"
+            ) from None
+        object.__setattr__(self, "strategies", strategies)
         if self.transposed is not None:
             object.__setattr__(self, "transposed", _int_set("transposed", self.transposed))
 
@@ -247,6 +258,8 @@ class ExperimentResult:
     traces: list[dict]
     run_summaries: list[dict]
     summary: dict
+    # Trace column text formatted by the first export, reused by the next.
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         # ``workers`` is a scheduling knob with no effect on the numbers,
@@ -311,13 +324,6 @@ class _StopMonitor:
         return None
 
 
-def _clean(value) -> float | None:
-    if value is None:
-        return None
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
 def _build_state(config: ExperimentConfig) -> DensityMatrix:
     if config.state_kind == "werner":
         return werner_state(config.n_qubits, config.t)
@@ -347,18 +353,32 @@ def _checkpoints_due(shots: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     return (shots % stride == 0) | (shots == config.shots)
 
 
-def _block_bounds(total: int):
-    """``(start, stop)`` shot blocks: short ones first, since a stopping run
-    wastes the rest of its last block, growing to ``BLOCK_SHOTS``."""
-    start, size = 0, BLOCK_SHOTS // 4
+def _shot_blocks(sampler: BornSampler, seed: int, total: int):
+    """A run's shots as estimation blocks ``(start, stop, axes, bits)``.
+
+    Estimation blocks start short, since a stopping run wastes the rest of
+    its last block, and double up to ``BLOCK_SHOTS``.  Sampling chunks are
+    coarser: a ``sample_block`` call costs about as much for 64 shots as
+    for 256, so the first call draws every opening block up to and
+    including the first full one (64 + 128 + 256 = 448 shots, capped at
+    the budget), and each later call draws one block.
+    """
+    start, size, drawn = 0, BLOCK_SHOTS // 4, 0
     while start < total:
         stop = min(start + size, total)
-        yield start, stop
+        if stop > drawn:
+            # The doubling sizes from ``size`` through BLOCK_SHOTS sum to this.
+            first, drawn = start, min(start + 2 * BLOCK_SHOTS - size, total)
+            axes, bits = sampler.sample_block(seed, first, drawn)
+        yield start, stop, axes[start - first : stop - first], bits[start - first : stop - first]
         start, size = stop, min(2 * size, BLOCK_SHOTS)
 
 
 def _cleaned(values: np.ndarray) -> list[float | None]:
-    return [None if math.isnan(v) else v for v in values.tolist()]
+    """Values as Python floats with NaN as None: the exports' one NaN rule."""
+    out = values.astype(object)
+    out[np.isnan(values)] = None
+    return out.tolist()
 
 
 def _append_checkpoints(
@@ -460,8 +480,7 @@ def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
     sampler = BornSampler(rho)
     stop_shot: int | None = None
 
-    for start, end in _block_bounds(config.shots):
-        axes, bits = sampler.sample_block(seed, start, end)
+    for start, end, axes, bits in _shot_blocks(sampler, seed, config.shots):
         shots = np.arange(start + 1, end + 1)
         due = _checkpoints_due(shots, config)
         stop = None  # row of this block's stop shot, once known
@@ -547,7 +566,7 @@ def recompute_run_summaries(payload: dict) -> list[dict]:
             bound = descartes_bound(esp)
             strategies[trace["strategy"]] = {
                 "moments": final_moments,
-                "esps": {str(k): _clean(esp.values[k]) for k in range(1, esp.max_order + 1)},
+                "esps": dict(zip(map(str, range(1, esp.max_order + 1)), _cleaned(esp.values[1:]))),
                 "first_negative_order": hierarchy_check(esp),
                 "descartes_variations": bound.variations,
                 "descartes_parity": bound.parity,
@@ -612,19 +631,83 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # -- export / import ------------------------------------------------------
 
 
+# A JSON int token (a loaded document may hold ints); its CSV cell is a float.
+_INT_TOKEN = re.compile(r"(?<![^,])-?\d+(?![^,])")
+
+
+def _float_token(match: re.Match) -> str:
+    return repr(float(match[0]))
+
+
+def _column_text(values: list, memo: dict | None) -> str:
+    """One trace column's JSON array text: the one formatting pass of its values.
+
+    ``memo`` (an exported result's) keeps each column's text beside the
+    value objects it was formatted from; a column whose objects have
+    changed since is formatted again.
+    """
+    if memo is not None:
+        hit = memo.get(id(values))
+        if hit is not None and len(hit[0]) == len(values) and all(
+            map(operator.is_, hit[0], values)
+        ):
+            return hit[1]
+    text = json.dumps(values, separators=(",", ":"))
+    if memo is not None:
+        memo[id(values)] = (list(values), text)
+    return text
+
+
+def _csv_cells(values: list, memo: dict | None) -> list[str]:
+    """A column's CSV cells, ``repr(float(v))`` or ``nan`` for None.
+
+    These are the column's JSON tokens, renamed where JSON spells a value
+    differently: ``null``, ``NaN``, ``Infinity`` and ints.
+    """
+    body = _column_text(values, memo)[1:-1]
+    body = body.replace("null", "nan").replace("NaN", "nan").replace("Infinity", "inf")
+    if int in map(type, values):
+        body = _INT_TOKEN.sub(_float_token, body)
+    return body.split(",") if body else []
+
+
+def _document(result) -> tuple[dict, dict | None]:
+    """The result payload and, for an ``ExperimentResult``, its column memo."""
+    if isinstance(result, ExperimentResult):
+        return result.to_json_dict(), result._columns
+    return result, None
+
+
 def export_json(result, path) -> None:
-    """Write the full result document (config, traces, summaries)."""
-    payload = result.to_json_dict() if isinstance(result, ExperimentResult) else result
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Write the full result document (config, traces, summaries).
+
+    The text is ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``;
+    the trace columns are spliced in from :func:`_column_text`, so an
+    ``ExperimentResult`` formats them once for both exports.
+    """
+    payload, memo = _document(result)
+    traces = payload["traces"]
+    # The encoder visits each trace's esps, then its moments, keys sorted.
+    columns = [trace[group][key] for trace in traces for group in ("esps", "moments")
+               for key in sorted(trace[group])]
+    marker = "\0"
+    while True:  # a marker that no other string of the payload equals
+        skeleton = {**payload, "traces": [
+            {**trace, **{group: dict.fromkeys(trace[group], marker)
+                         for group in ("esps", "moments")}}
+            for trace in traces
+        ]}
+        text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"))
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(columns) + 1:
+            break
+        marker += "\0"
+    parts = [pieces[0]]
+    for values, piece in zip(columns, pieces[1:], strict=True):
+        parts += (_column_text(values, memo), piece)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(parts))
         fh.write("\n")
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "nan"
-    return repr(float(value))
 
 
 def export_csv(result, path) -> None:
@@ -632,9 +715,10 @@ def export_csv(result, path) -> None:
 
     Columns: run, strategy id, shot count, the tracked moments, the
     derivable ESPs, then one 0/1 stop flag per order indicating whether
-    that order's stopping rule had fired by the checkpoint.
+    that order's stopping rule had fired by the checkpoint.  Numeric
+    cells come from :func:`_csv_cells`, rows from column-wise joins.
     """
-    payload = result.to_json_dict() if isinstance(result, ExperimentResult) else result
+    payload, memo = _document(result)
     config = ExperimentConfig.from_dict(payload["config"])
     orders = config.orders
     esp_orders = config.esp_orders()
@@ -651,30 +735,71 @@ def export_csv(result, path) -> None:
         "# " + ",".join(header),
     ]
     for trace in payload["traces"]:
-        sid = names.index(trace["strategy"])
+        prefix = f"{trace['run']},{names.index(trace['strategy'])}"
+        shots = trace["shots"]
         stopped_at = {int(m): s for m, s in trace["stopped_at"].items()}
         moments = {int(m): vals for m, vals in trace["moments"].items()}
         esps = {int(k): vals for k, vals in trace["esps"].items()}
-        for i, shot in enumerate(trace["shots"]):
-            cells = [str(trace["run"]), str(sid), str(shot)]
-            cells += [_format_cell(moments[m][i]) for m in orders]
-            cells += [_format_cell(esps[k][i]) for k in esp_orders]
-            cells += [
-                "1" if stopped_at.get(m) is not None and stopped_at[m] <= shot else "0"
-                for m in orders
-            ]
-            lines.append(",".join(cells))
+        cells = [_csv_cells(moments[m], memo) for m in orders]
+        cells += [_csv_cells(esps[k], memo) for k in esp_orders]
+        reached = np.asarray(shots)
+        cells += [
+            ["0"] * len(shots) if stopped_at.get(m) is None
+            else np.where(reached >= stopped_at[m], "1", "0").tolist()
+            for m in orders
+        ]
+        lines += map(",".join, zip([prefix] * len(shots), map(str, shots), *cells, strict=True))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 
 
+# Keys that every trace of a result document carries.
+_TRACE_KEYS = ("esps", "moments", "orders", "run", "run_seed", "shots", "stop_shot",
+               "stopped_at", "strategy")
+
+
 def load_result(path) -> dict:
-    """Read a result document written by :func:`export_json`."""
+    """Read a result document written by :func:`export_json`.
+
+    Raises ``ValueError`` unless the document has this format and version,
+    a valid config, and traces with every key, whose moment and ESP columns
+    cover the config's orders, hold numbers or nulls, and each have one
+    value per checkpoint shot.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
         raise ValueError(f"{path} is not a {_FORMAT_NAME} document")
+    version = payload.get("format_version")
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise ValueError(f"{path}: format_version {version!r} is not {_FORMAT_VERSION}")
+    config = ExperimentConfig.from_dict(payload.get("config")).validated()
+    traces = payload.get("traces")
+    if not isinstance(traces, list):
+        raise ValueError(f"{path}: traces must be a list")
+    for i, trace in enumerate(traces):
+        if not isinstance(trace, dict) or not trace.keys() >= set(_TRACE_KEYS):
+            raise ValueError(f"{path}: trace {i} must be an object with keys {_TRACE_KEYS}")
+        shots = trace["shots"]
+        if not isinstance(shots, list) or any(type(s) is not int for s in shots):
+            raise ValueError(f"{path}: trace {i} shots must be a list of integers")
+        if not isinstance(trace["stopped_at"], dict):
+            raise ValueError(f"{path}: trace {i} stopped_at must be an object")
+        for group, keys in (("moments", config.orders), ("esps", config.esp_orders())):
+            columns = trace[group]
+            if not isinstance(columns, dict) or set(columns) != {str(k) for k in keys}:
+                raise ValueError(f"{path}: trace {i} {group} must have the keys {list(keys)}")
+            for key, column in columns.items():
+                if not isinstance(column, list) or any(
+                    v is not None and type(v) not in (int, float) for v in column
+                ):
+                    raise ValueError(f"{path}: trace {i} {group}[{key}] must list numbers")
+                if len(column) != len(shots):
+                    raise ValueError(
+                        f"{path}: trace {i} {group}[{key}] has {len(column)} values "
+                        f"for {len(shots)} shots"
+                    )
     return payload
 
 

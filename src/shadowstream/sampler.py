@@ -31,7 +31,11 @@ uniforms up in the cached cumulative distribution.  A shot whose draws
 those two words do not settle (a rejected byte, or more than 8 qubits)
 is drawn through ``shot_rng`` and :meth:`BornSampler.sample` instead.
 Both routes draw the same numbers, so records do not depend on which
-one produced them.
+one produced them, nor on how a stream is cut into blocks.  A
+``sample_block`` call costs about as much for 64 shots as for 256 (the
+Philox rounds are a fixed number of array operations), so callers draw
+in chunks: ``stream_shadows`` in blocks of ``BLOCK_SHOTS``, and a
+campaign run its opening 64 + 128 + 256 shots in one call.
 """
 
 from __future__ import annotations

@@ -375,3 +375,53 @@ def test_block_runs_equal_per_shot_runs(name):
             for trace in _run_single(config.validated(), run)
         ]
         assert json.dumps(block) == json.dumps(per_shot_run(config, run))
+
+
+def traced_sample_blocks(monkeypatch):
+    """Record the ``(start, stop)`` of every ``BornSampler.sample_block`` call."""
+    calls = []
+    sample_block = BornSampler.sample_block
+
+    def recording(self, seed, start, stop):
+        calls.append((start, stop))
+        return sample_block(self, seed, start, stop)
+
+    monkeypatch.setattr(BornSampler, "sample_block", recording)
+    return calls
+
+
+def with_run_keys(config, run, traces):
+    return [{"run": run, "run_seed": run_seed_for(config.seed, run),
+             "orders": list(config.orders), **trace} for trace in traces]
+
+
+@pytest.mark.parametrize("shots", [1, 63, 64, 447, 448, 449, 2000])
+def test_sampling_chunk_boundaries(shots, monkeypatch):
+    """One ``sample_block`` call draws the opening 64 + 128 + 256 shots, each
+    later call one block of 256, and the traces (and so the exported bytes)
+    equal the shot-by-shot run's."""
+    config = ExperimentConfig(n_qubits=2, t=0.8, shots=shots, runs=1, seed=29,
+                              strategies=("online-recon", "plugin"), stride_dense=1,
+                              stride_switch=300, stride_sparse=7,
+                              stop_on_convergence=False).validated()
+    calls = traced_sample_blocks(monkeypatch)
+    block = _run_single(config, 0)
+    assert calls == [(0, min(shots, 448))] + [
+        (start, min(start + 256, shots)) for start in range(448, shots, 256)
+    ]
+    reference = with_run_keys(config, 0, per_shot_run(config, 0))
+    assert json.dumps(block, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+@pytest.mark.parametrize("tolerance, window, stop", [(0.3, 3, 16), (0.05, 5, 80),
+                                                      (0.02, 10, 288)])
+def test_runs_stopping_inside_the_first_chunk(tolerance, window, stop, monkeypatch):
+    """Stops in each of the three estimation blocks that the first chunk holds."""
+    config = ExperimentConfig(n_qubits=2, t=0.8, shots=2000, runs=1, seed=2,
+                              tolerance=tolerance, window=window).validated()
+    calls = traced_sample_blocks(monkeypatch)
+    block = _run_single(config, 0)
+    assert block[0]["stop_shot"] == stop
+    assert calls == [(0, 448)]
+    reference = with_run_keys(config, 0, per_shot_run(config, 0))
+    assert json.dumps(block, sort_keys=True) == json.dumps(reference, sort_keys=True)
