@@ -63,6 +63,7 @@ from .kernel import (
     factors_from_codes,
     group_codes,
     group_width,
+    pair_blocks,
     pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
     subset_index_chunks,
@@ -97,6 +98,9 @@ FACTOR_QUBITS = 6
 
 # Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update.
 _STACK_BYTES = 1 << 20
+
+# The kind field of an SSES checkpoint (see :func:`save_estimator_state`).
+_KIND_RECORD, _KIND_ACCUMULATOR = 1, 2
 
 
 def _comb_floats(shots: np.ndarray, k: int) -> np.ndarray:
@@ -150,10 +154,11 @@ def _finish(order: int, shots: int, scaled: complex, dropped: int = 0) -> Moment
 def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None) -> complex:
     """The trace kernel summed over the k-subsets of the rows of ``codes``.
 
-    With ``tables``, a :func:`batch_code_traces` lookup in them; without,
-    the 2x2 factor chains of per-qubit ``codes``, each closed by the
-    ``closing`` factors when given.  Block by block, in lexicographic
-    order, so the reduction order depends only on the shape.
+    With ``tables``, a :func:`batch_code_traces` lookup in them (pairs as
+    :func:`pair_blocks` spans, no index arrays); without, the 2x2 factor
+    chains of per-qubit ``codes``, each closed by the ``closing`` factors
+    when given.  Block by block, in lexicographic order, so the reduction
+    order depends only on the shape.
     """
     total = 0.0 + 0.0j
     if tables is None:
@@ -161,7 +166,8 @@ def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None) -> complex
         for chunk in subset_index_chunks(len(codes), k):
             total += batch_tuple_traces(factors, chunk, closing).sum()
     else:
-        for chunk in subset_index_chunks(len(codes), k):
+        chunks = pair_blocks(len(codes)) if k == 2 else subset_index_chunks(len(codes), k)
+        for chunk in chunks:
             total += batch_code_traces(codes, chunk, tables).sum()
     return total
 
@@ -274,6 +280,11 @@ class _RecordSums:
     and beyond that ``g`` is 1, so the sums equal the closed-tuple
     evaluation bit for bit at every N.  Orders past ``CHAIN_TABLE_MAX``
     close each 2x2 factor chain with the new shot's factors instead.
+
+    The pairs that an order-3 update closes reach the kernel as
+    :func:`pair_blocks` spans, never as index arrays: the work is per
+    pair, the temporaries are bounded by a row block of first indices
+    times T, and the state is still the O(T * N) codes.
     """
 
     streaming = True
@@ -338,8 +349,13 @@ class OnlineRecordEstimator:
     Memory is O(T * N) bytes and the per-shot update enumerates the
     C(T, m-1) fresh tuples ending at the new shot, so updates get
     quadratically slower (for m = 3) as the record grows, but no
-    2**N-dimensional object is ever formed.
+    2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
+    are pairs of the past, evaluated by broadcasting a row block of
+    first indices against the later shots: work per pair, temporaries
+    bounded by a row block times T, state still O(T * N).
     """
+
+    _state_kind = _KIND_RECORD
 
     def __init__(
         self,
@@ -385,6 +401,21 @@ class OnlineRecordEstimator:
     def estimate(self) -> MomentEstimate:
         return self._sums.estimate(self._m)
 
+    def _state_body(self) -> bytes:
+        """The checkpoint payload: the running sum, then the SSHR record."""
+        record = self.record.to_bytes()
+        total = self.running_sum
+        return struct.pack("<ddQ", total.real, total.imag, len(record)) + record
+
+    @classmethod
+    def _from_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
+        """The estimator whose payload runs from ``offset`` to the end of ``blob``."""
+        (re, im, size), offset = _unpack("<ddQ", blob, offset)
+        record = ShadowRecord.from_bytes(_tail(blob, offset, size))
+        if len(record) != shots:
+            raise ValueError("checkpoint record length disagrees with header")
+        return cls(order, part, n_qubits, record=record, running_sum=complex(re, im))
+
 
 class AccumulatorSet:
     """Streaming U-statistic via running sums of snapshot products.
@@ -415,6 +446,7 @@ class AccumulatorSet:
     """
 
     streaming = True
+    _state_kind = _KIND_ACCUMULATOR
 
     def __init__(
         self,
@@ -586,6 +618,18 @@ class AccumulatorSet:
             return _undefined(k, self._shots)
         scaled = complex(np.trace(self._matrices[k - 1])) / math.comb(self._shots, k)
         return _finish(k, self._shots, scaled)
+
+    def _state_body(self) -> bytes:
+        """The checkpoint payload: the matrices, row-major."""
+        return self._matrices.tobytes()
+
+    @classmethod
+    def _from_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
+        """The accumulators whose payload runs from ``offset`` to the end of ``blob``."""
+        dim = 2**n_qubits
+        body = _tail(blob, offset, 16 * order * dim * dim)
+        mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
+        return cls(order, part, n_qubits, matrices=mats, shots=shots)
 
 
 class _PluginSum:
@@ -793,22 +837,19 @@ class MomentStream:
 _STATE_MAGIC = b"SSES"
 _STATE_VERSION = 1
 _STATE_HEADER = struct.Struct("<4sHBHHQ")
-_KIND_RECORD, _KIND_ACCUMULATOR = 1, 2
+
+# Checkpoint kind -> the class that packs (``_state_body``) and unpacks
+# (``_from_state``) the payload after the common header and part list.
+_CHECKPOINTS = {cls._state_kind: cls for cls in (OnlineRecordEstimator, AccumulatorSet)}
 
 
 def _pack_state(est) -> bytes:
-    if isinstance(est, OnlineRecordEstimator):
-        record = est.record.to_bytes()
-        total = est.running_sum
-        kind = _KIND_RECORD
-        body = struct.pack("<ddQ", total.real, total.imag, len(record)) + record
-    elif isinstance(est, AccumulatorSet):
-        kind, body = _KIND_ACCUMULATOR, est.matrices.tobytes()
-    else:
+    kind = getattr(est, "_state_kind", None)
+    if kind not in _CHECKPOINTS:
         raise TypeError(f"cannot checkpoint {type(est).__name__}")
     part = est.transposed_qubits
     head = _STATE_HEADER.pack(_STATE_MAGIC, _STATE_VERSION, kind, est.order, est._n, est.shots)
-    return head + struct.pack(f"<H{len(part)}H", len(part), *part) + body
+    return head + struct.pack(f"<H{len(part)}H", len(part), *part) + est._state_body()
 
 
 def save_estimator_state(est, path) -> None:
@@ -860,17 +901,7 @@ def _unpack_state(blob: bytes):
     part, offset = _unpack(f"<{n_part}H", blob, offset)
     if list(part) != sorted(set(part)):
         raise ValueError(f"checkpoint part list {part} is not strictly increasing")
-    if kind == _KIND_RECORD:
-        (re, im, size), offset = _unpack("<ddQ", blob, offset)
-        record = ShadowRecord.from_bytes(_tail(blob, offset, size))
-        if len(record) != shots:
-            raise ValueError("checkpoint record length disagrees with header")
-        return OnlineRecordEstimator(
-            order, part, n_qubits, record=record, running_sum=complex(re, im)
-        )
-    if kind == _KIND_ACCUMULATOR:
-        dim = 2**n_qubits
-        body = _tail(blob, offset, 16 * order * dim * dim)
-        mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
-        return AccumulatorSet(order, part, n_qubits, matrices=mats, shots=shots)
-    raise ValueError(f"unknown checkpoint kind {kind}")
+    checkpoint = _CHECKPOINTS.get(kind)
+    if checkpoint is None:
+        raise ValueError(f"unknown checkpoint kind {kind}")
+    return checkpoint._from_state(blob, offset, order, part, n_qubits, shots)

@@ -24,6 +24,12 @@ in that shot.  It folds the shot's codes into the chain tables once
 (:func:`closing_tables`) and looks up only the earlier members; runs of
 qubits share one lookup through combined codes (:func:`group_codes`)
 wherever no product of table values can round (:func:`group_width`).
+Pairs (those of the past that an order-3 shot closes, and the order-2
+U-statistic's) are evaluated without an index array: :func:`pair_blocks`
+describes the blocks of :func:`subset_index_chunks` as :class:`PairBlock`
+spans of first indices, and :func:`batch_code_traces` broadcasts
+``_PAIR_ROWS`` first rows at a time against the later code columns,
+which writes the same values in the same order.
 
 A dense evaluation builds every reconstruction and multiplies full
 matrices; it is the one independent cross-check of the direct path.
@@ -32,7 +38,8 @@ matrices; it is the one independent cross-check of the direct path.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +62,8 @@ __all__ = [
     "group_codes",
     "closing_tables",
     "subset_index_chunks",
+    "PairBlock",
+    "pair_blocks",
 ]
 
 # Upper bound on gathered (tuple, position, qubit) factor slots per chunk;
@@ -65,6 +74,10 @@ _CHUNK_SLOTS = 1 << 20
 # Tuples per block of a table-lookup evaluation; each value is computed
 # on its own, so the block size bounds temporaries and nothing else.
 _CODE_ROWS = 1 << 13
+
+# First indices per broadcast block of a pair evaluation; its key and
+# mask temporaries are this many rows by the record length.
+_PAIR_ROWS = 32
 
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
@@ -165,7 +178,7 @@ def chain_trace_table(length: int) -> np.ndarray:
 
 
 def batch_code_traces(
-    codes: np.ndarray, indices: np.ndarray, tables: np.ndarray | None = None
+    codes: np.ndarray, indices: np.ndarray | PairBlock, tables: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the trace kernel for many index tuples via table lookup.
 
@@ -173,7 +186,9 @@ def batch_code_traces(
     ``tables`` a ``(G, B, ..., B)`` stack with one axis per tuple
     position: row ``(i_1, ..., i_k)`` evaluates to the product over
     columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
-    codes[i_k, g]]``.
+    codes[i_k, g]]``.  ``indices`` is a ``(K, k)`` index array or a
+    :class:`PairBlock`, which evaluates to the same values as the pair
+    array it spans.
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -186,10 +201,14 @@ def batch_code_traces(
     product rounds, multiply elementwise.
     """
     codes = np.asarray(codes)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 2:
-        raise ValueError(f"indices must be (K, k), got shape {indices.shape}")
-    count, k = indices.shape
+    pairs = isinstance(indices, PairBlock)
+    if pairs:
+        count, k = len(indices), 2
+    else:
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.ndim != 2:
+            raise ValueError(f"indices must be (K, k), got shape {indices.shape}")
+        count, k = indices.shape
     groups = codes.shape[1]
     if tables is None:
         if k < 1:
@@ -202,29 +221,70 @@ def batch_code_traces(
             f"{(groups,) + ('B',) * k}, got {tables.shape}"
         )
     flat = np.ascontiguousarray(tables).reshape(groups, -1)
-    # Column g's key is sum_j codes[i_j, g] * B**(k-1-j).  The scaled codes
-    # are laid out column-major once per call, so a block costs one 1-D
-    # gather per column and tuple position.
-    scaled = [codes.T.astype(np.intp) * base ** (k - 1 - j) for j in range(k)]
     per_qubit = groups > 1 and base <= 6
-    values = np.empty((min(count, _CODE_ROWS), groups), dtype=np.complex128) if per_qubit else None
     out = np.empty(count, dtype=np.complex128)
-    for lo in range(0, count, _CODE_ROWS):
-        chunk = indices[lo : lo + _CODE_ROWS]
-        block = out[lo : lo + _CODE_ROWS]
-        for g in range(groups):
-            key = scaled[0][g].take(chunk[:, 0]) if k else np.zeros(len(chunk), dtype=np.intp)
-            for j in range(1, k):
-                key += scaled[j][g].take(chunk[:, j])
+    values, at = None, 0
+    blocks = _pair_keys(codes, indices, base) if pairs else _index_keys(codes, indices, base)
+    for size, keys in blocks:
+        block = out[at : at + size]
+        if per_qubit and (values is None or len(values) < size):
+            values = np.empty((size, groups), dtype=np.complex128)
+        for g, key in enumerate(keys):
             if per_qubit:
-                values[: len(chunk), g] = flat[g].take(key)
+                values[:size, g] = flat[g].take(key)
             elif g == 0:
-                flat[0].take(key, out=block)
+                block[:] = flat[0].take(key)
             else:
                 block *= flat[g].take(key)
         if per_qubit:
-            values[: len(chunk)].prod(axis=1, out=block)
+            values[:size].prod(axis=1, out=block)
+        at += size
     return out
+
+
+def _index_keys(codes: np.ndarray, indices: np.ndarray, base: int):
+    """Yield ``(rows, keys)`` per block of ``_CODE_ROWS`` index rows, where
+    ``keys[g]`` is ``sum_j codes[i_j, g] * B**(k-1-j)`` for each row."""
+    k = indices.shape[1]
+    # The scaled codes are laid out column-major once per call, so a block
+    # costs one 1-D gather per column and tuple position.
+    scaled = [codes.T.astype(np.intp) * base ** (k - 1 - j) for j in range(k)]
+    for lo in range(0, len(indices), _CODE_ROWS):
+        chunk = indices[lo : lo + _CODE_ROWS]
+        keys = []
+        for g in range(codes.shape[1]):
+            key = scaled[0][g].take(chunk[:, 0]) if k else np.zeros(len(chunk), dtype=np.intp)
+            for j in range(1, k):
+                key += scaled[j][g].take(chunk[:, j])
+            keys.append(key)
+        yield len(chunk), keys
+
+
+def _pair_keys(codes: np.ndarray, pairs: PairBlock, base: int):
+    """Yield ``(pairs, keys)`` per run of ``_PAIR_ROWS`` first indices of a
+    :class:`PairBlock`, the keys of :func:`_index_keys` without an index array.
+
+    First indices ``i`` of a run against every later shot form the grid
+    of keys ``B * codes[i, g] + codes[j, g]``, one broadcast sum per
+    column.  Its upper triangle ``j > i``, read row by row, is the
+    lexicographic order of the pairs, so one mask selects them in every
+    column.
+    """
+    first, last, n = pairs.first, pairs.last, pairs.n
+    # The narrowest unsigned type that holds every key, so the broadcast
+    # sums and the mask select move 1 or 2 bytes per key instead of 8.
+    later = codes.T.astype(np.min_scalar_type(base * base - 1))
+    scaled = later * base
+    # Row a of a run pairs with later column b when b >= a, whatever the run.
+    triangle = np.arange(n - 1 - first) >= np.arange(_PAIR_ROWS)[:, None]
+    for lo in range(first, last + 1, _PAIR_ROWS):
+        rows, width = min(_PAIR_ROWS, last + 1 - lo), n - 1 - lo
+        upper = triangle[:rows, :width]
+        keys = [
+            (scaled[g, lo : lo + rows, None] + later[g, None, lo + 1 :])[upper]
+            for g in range(codes.shape[1])
+        ]
+        yield rows * width - rows * (rows - 1) // 2, keys
 
 
 def group_width(order: int, n_qubits: int) -> int:
@@ -337,8 +397,9 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
     directly in numpy since those dominate streaming updates; larger
     sizes fall back to ``itertools.combinations``.  Block boundaries
     depend only on ``(n, k, rows)``, which fixes the reduction order of
-    sums taken block by block.
+    sums taken block by block.  ``rows`` below 1 raises ``ValueError``.
     """
+    _check_rows(rows)
     if k < 0 or k > n:
         return
     if k == 0:
@@ -349,24 +410,18 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
             yield np.arange(lo, min(lo + rows, n), dtype=np.int64)[:, None]
         return
     if k == 2:
-        # Pairs (i, j) grouped by first index i; a block ends with the
-        # first whole group that brings it to at least ``rows`` pairs.
-        sizes = np.arange(n - 1, 0, -1, dtype=np.int64)
-        ends = np.cumsum(sizes)
-        first, done = 0, 0
-        while first < n - 1:
-            last = min(max(int(np.searchsorted(ends, done + rows)), first), n - 2)
+        for first, last, size in _pair_spans(n, rows):
             groups = np.arange(first, last + 1, dtype=np.int64)
-            counts = sizes[first : last + 1]
-            block = np.empty((int(ends[last]) - done, 2), dtype=np.int64)
+            counts = n - 1 - groups
+            block = np.empty((size, 2), dtype=np.int64)
             block[:, 0] = np.repeat(groups, counts)
-            # Group i starts at row ends[i] - counts[i] - done of the block
-            # and its second index runs from i + 1 upward.  Written in place,
-            # so the paused generator holds no block-sized temporaries.
-            block[:, 1] = np.arange(block.shape[0], dtype=np.int64)
-            block[:, 1] += np.repeat(groups + 1 - (ends[first : last + 1] - counts - done), counts)
+            # Group i starts at row starts[i] of the block and its second
+            # index runs from i + 1 upward.  Written in place, so the paused
+            # generator holds no block-sized temporaries.
+            starts = np.cumsum(counts) - counts
+            block[:, 1] = np.arange(size, dtype=np.int64)
+            block[:, 1] += np.repeat(groups + 1 - starts, counts)
             yield block
-            first, done = last + 1, int(ends[last])
         return
     iterator = itertools.combinations(range(n), k)
     while True:
@@ -374,6 +429,48 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
         if not block:
             return
         yield np.array(block, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class PairBlock:
+    """The pairs ``(i, j)`` of ``range(n)`` with ``first <= i <= last``
+    and ``i < j``, in lexicographic order: a block of
+    ``subset_index_chunks(n, 2)`` as a span of first indices, with no
+    index array.  ``len`` is its pair count."""
+
+    first: int
+    last: int
+    n: int
+
+    def __len__(self) -> int:
+        rows = self.last - self.first + 1
+        return rows * (self.n - 1) - rows * (self.first + self.last) // 2
+
+
+def pair_blocks(n: int, rows: int = 1 << 16) -> Iterator[PairBlock]:
+    """The blocks of ``subset_index_chunks(n, 2, rows)``, cut at the same
+    pairs, as :class:`PairBlock` spans.  ``rows`` below 1 raises
+    ``ValueError``."""
+    _check_rows(rows)
+    for first, last, _ in _pair_spans(n, rows):
+        yield PairBlock(first, last, n)
+
+
+def _check_rows(rows: int) -> None:
+    if rows < 1:
+        raise ValueError(f"blocks need at least one row, got rows={rows}")
+
+
+def _pair_spans(n: int, rows: int) -> Iterator[tuple[int, int, int]]:
+    """``(first, last, pairs)`` of each pair block of ``range(n)``: pairs
+    are grouped by first index, and a block ends with the first whole
+    group that brings it to at least ``rows`` pairs."""
+    ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    first, done = 0, 0
+    while first < n - 1:
+        last = min(max(int(np.searchsorted(ends, done + rows)), first), n - 2)
+        yield first, last, int(ends[last]) - done
+        first, done = last + 1, int(ends[last])
 
 
 def _tuple_fields(snapshots: Sequence[Snapshot]):

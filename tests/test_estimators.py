@@ -267,6 +267,12 @@ class TestClosingShotFold:
         assert len(list(subset_index_chunks(363, 2))) == 2
         self.assert_fresh_sums_match(4, 3, 366, seed=5, checked={361, 362, 363, 364, 365})
 
+    def test_pair_spans_at_eight_qubits(self):
+        # Order 3 at N = 8 closes pairs of the past over 2-qubit groups;
+        # from 34 earlier shots on, a span covers several row blocks.
+        assert group_width(3, 8) == 2
+        self.assert_fresh_sums_match(8, 3, 70, seed=8)
+
     def test_orders_past_the_tables(self):
         # Order 7 has no chain table; the new shot's 2x2 factors close
         # every chain of the past instead of being appended to each tuple.
@@ -675,6 +681,10 @@ class TestCheckpointDecoding:
     @settings(max_examples=20, deadline=None)
     def test_single_bit_flips_raise_or_repack_exactly(self, est):
         assert flips_that_repack_differently(_pack_state(est)) == []
+
+    def test_only_checkpointable_strategies_pack(self):
+        with pytest.raises(TypeError, match="cannot checkpoint _RecordSums"):
+            _pack_state(_RecordSums((0,), ShadowRecord(2), {2: 0j}))
 
     def test_zero_qubit_accumulators_round_trip(self):
         blob = _pack_state(AccumulatorSet(2, (), 0))

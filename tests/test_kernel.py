@@ -24,6 +24,7 @@ from shadowstream.kernel import (
     factors_from_codes,
     group_codes,
     group_width,
+    pair_blocks,
     snapshot_codes,
     subset_index_chunks,
     transposed_factors,
@@ -302,3 +303,51 @@ class TestSubsetEnumeration:
         # strictly increasing in lexicographic key
         keys = stacked[:, 0] * 40 + stacked[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 9])
+    def test_rows_below_one_raise(self, k, rows):
+        with pytest.raises(ValueError, match="rows"):
+            list(subset_index_chunks(5, k, rows=rows))
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_pair_blocks_reject_rows_below_one(self, n, rows):
+        with pytest.raises(ValueError, match="rows"):
+            list(pair_blocks(n, rows=rows))
+
+
+class TestPairBlocks:
+    """``pair_blocks`` spans evaluate to the bytes of the index blocks of
+    ``subset_index_chunks(n, 2)`` that they stand for."""
+
+    @staticmethod
+    def codes_and_tables(kind, n, rng):
+        if kind == "grouped":
+            # Order-3 closing tables over two-qubit groups of N = 4 qubits.
+            assert group_width(3, 4) == 2
+            codes = rng.integers(0, 6, (n, 4)).astype(np.uint8)
+            last = rng.integers(0, 6, 4).astype(np.uint8)
+            return group_codes(codes, 2), closing_tables(3, last, 2)
+        if kind == "per-qubit":
+            # Non-dyadic tables round in every product, so only the
+            # left-to-right qubit order of .prod(axis=1) gives these bytes.
+            assert group_width(3, 10) == 1
+            codes = rng.integers(0, 6, (n, 10)).astype(np.uint8)
+            return codes, rng.normal(size=(10, 6, 6)) + 1j * rng.normal(size=(10, 6, 6))
+        return rng.integers(0, 6, (n, 1)).astype(np.uint8), None
+
+    @pytest.mark.parametrize("kind", ["grouped", "per-qubit", "one-column"])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 33, 362, 363, 401])
+    def test_values_equal_the_index_blocks(self, n, rows, kind):
+        rng = np.random.default_rng(1000 * n + rows)
+        codes, tables = self.codes_and_tables(kind, n, rng)
+        spans = list(pair_blocks(n, rows))
+        chunks = list(subset_index_chunks(n, 2, rows))
+        assert len(spans) == len(chunks)
+        for span, chunk in zip(spans, chunks):
+            assert len(span) == len(chunk)
+            assert (span.first, span.last, span.n) == (chunk[0, 0], chunk[-1, 0], n)
+            got = batch_code_traces(codes, span, tables)
+            assert got.tobytes() == batch_code_traces(codes, chunk, tables).tobytes()
