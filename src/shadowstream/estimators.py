@@ -38,8 +38,11 @@ per order; the engine of :class:`OnlineRecordEstimator`); ``plugin`` a
 ``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints); and
 ``batched`` a ``_RetainedRecord`` that reruns :func:`batched_estimate`.
 :meth:`MomentStream.trajectory` feeds a block of shots and returns every
-estimate after each shot as arrays; an :class:`AccumulatorSet` absorbs
-the block as stacked products, every other strategy row by row.
+estimate after each shot as arrays, and :meth:`MomentStream.advance`
+feeds one without estimates.  An :class:`AccumulatorSet` absorbs the
+block as stacked products and ``_RecordSums`` as one record write and
+one encoding (``batched`` appends it too); ``plugin`` takes it row by
+row.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .kernel import (
 from .sampler import (
     ShadowRecord,
     Snapshot,
+    _coerce_block,
     _kron,
     codes_matrices,
     codes_matrix,
@@ -99,6 +103,10 @@ FACTOR_QUBITS = 6
 # Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update.
 _STACK_BYTES = 1 << 20
 
+# Shots whose closing tables are built together: one stack of a few tables
+# per order (4 * 1296 entries per code column at most) amortises the calls.
+_TABLE_SHOTS = 4
+
 # The kind field of an SSES checkpoint (see :func:`save_estimator_state`).
 _KIND_RECORD, _KIND_ACCUMULATOR = 1, 2
 
@@ -115,6 +123,17 @@ def _comb_floats(shots: np.ndarray, k: int) -> np.ndarray:
             comb = comb * (shots - j) // (j + 1)
         return comb.astype(np.float64)
     return np.array([float(math.comb(t, k)) for t in shots.tolist()])
+
+
+def _defined_combs(shots: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``orders`` are defined after each of ``shots``, and the
+    ``C(t, k)`` floats to divide by there (1 where undefined), both ``(rows,
+    len(orders))``."""
+    defined = shots[:, None] >= np.array(orders, dtype=np.int64)
+    combs = np.ones(defined.shape)
+    for col, k in enumerate(orders):
+        combs[:, col] = np.where(defined[:, col], _comb_floats(shots, k), 1.0)
+    return defined, combs
 
 
 @dataclass(frozen=True)
@@ -252,14 +271,17 @@ class _RecordSums:
     """Streaming U-statistics of several orders over one retained record.
 
     ``sums`` maps each order m to the running sum of the kernel over all
-    m-subsets of the record; a new shot adds the subsets it closes.  An
-    update encodes only the shots appended since the previous one (the
-    whole record after a restore), so every shot is encoded once, and
-    keeps each encoded shot's :func:`group_codes` beside its codes.
+    m-subsets of the record; a new shot adds the subsets it closes.  A
+    shot (``update``) or a ``(B, N)`` block of shots (``advance`` and
+    ``trajectory``) goes into the record with one write.  The shots
+    appended since the previous call (the whole record after a restore)
+    are then encoded at once, so every shot is encoded once, and each
+    encoded shot's :func:`group_codes` are kept beside its codes.
 
     The new shot is the last member of every subset it closes, so an
     order-m update folds its codes into the chain tables once
-    (:func:`closing_tables`) and evaluates only the ``(m-1)``-subsets of
+    (:func:`closing_tables`, built for ``_TABLE_SHOTS`` shots of a block
+    at a time) and evaluates only the ``(m-1)``-subsets of
     the past: ``N / g`` gathers and multiplies per tuple, with ``g =
     group_width(m, N)`` qubits per gather (4 at m = 2, 2 at m = 3, 1
     from m = 4), instead of ``m * N`` code gathers, ``N`` table gathers
@@ -282,9 +304,11 @@ class _RecordSums:
     close each 2x2 factor chain with the new shot's factors instead.
 
     The pairs that an order-3 update closes reach the kernel as
-    :func:`pair_blocks` spans, never as index arrays: the work is per
-    pair, the temporaries are bounded by a row block of first indices
-    times T, and the state is still the O(T * N) codes.
+    :func:`pair_blocks` spans, never as index arrays or lookup keys: the
+    work is per pair (one gather per code column from the table rows of
+    its first shot, then a multiply), the temporaries are bounded by a row
+    block of first indices times T, and the state is still the O(T * N)
+    codes.
     """
 
     streaming = True
@@ -303,31 +327,72 @@ class _RecordSums:
         self._encoded = 0
 
     def update(self, snapshot: Snapshot) -> None:
-        record, done = self.record, self._encoded
-        record.append(snapshot)
-        total = len(record)
+        self.record.append(snapshot)
+        self._close(len(self.record) - 1)
+
+    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        """Absorb the rows of checked ``(B, N)`` axes and bits."""
+        self.trajectory(axes, bits, ())
+
+    def trajectory(
+        self, axes: np.ndarray, bits: np.ndarray, orders
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb the rows of checked ``(B, N)`` axes and bits; return the
+        estimates of ``orders`` after each row as ``(values, defined)``,
+        both ``(B, len(orders))``.  ``sums / C(t, m)`` is numpy's complex
+        division, as the per-shot ``estimate`` of a ``complex128`` sum is,
+        so every value equals it bit for bit."""
+        start = len(self.record)
+        self.record._append_rows(axes, bits)
+        sums = self._close(start, orders)
+        defined, combs = _defined_combs(np.arange(start + 1, len(self.record) + 1), orders)
+        values = (sums / combs).real
+        values[~defined] = np.nan
+        return values, defined
+
+    def _close(self, start: int, orders=()) -> np.ndarray:
+        """Encode the unencoded shots and add the subsets closed by each shot
+        from ``start`` on; return the running sums of ``orders`` after each
+        of those shots, ``(shots, len(orders))``."""
+        done, total = self._encoded, len(self.record)
         if total > self._codes.shape[0]:
             self._codes = _grown(self._codes, done, total)
             for g, grouped in self._grouped.items():
                 self._grouped[g] = _grown(grouped, done, total)
-        fresh_codes = snapshot_codes(record.axes[done:], record.bits[done:], self._part)
+        fresh_codes = snapshot_codes(self.record.axes[done:], self.record.bits[done:], self._part)
         self._codes[done:total] = fresh_codes
         for g, grouped in self._grouped.items():
             grouped[done:total] = group_codes(fresh_codes, g)
         self._encoded = total
-        for m in self.sums:
-            if total >= m:
-                self.sums[m] += self._fresh(m)
+        sums = np.empty((total - start, len(orders)), dtype=np.complex128)
+        for lo in range(start, total, _TABLE_SHOTS):
+            shots = range(lo, min(lo + _TABLE_SHOTS, total))
+            tables = {
+                m: closing_tables(m, self._codes[lo : shots.stop], g)
+                for m, g in self._widths.items()
+            }
+            for latest in shots:
+                for m in self.sums:
+                    if latest >= m - 1:
+                        closing = tables[m][latest - lo] if m in tables else None
+                        self.sums[m] += self._fresh(m, latest, closing)
+                sums[latest - start] = [self.sums[m] for m in orders]
+        return sums
 
-    def _fresh(self, m: int) -> complex:
-        """The kernel summed over the m-subsets the latest shot closes."""
-        latest = self._encoded - 1
+    def _fresh(self, m: int, latest: int | None = None, tables=None) -> complex:
+        """The kernel summed over the m-subsets that shot ``latest`` (by
+        default the last one encoded) closes; ``tables`` are its
+        :func:`closing_tables` if already built."""
+        if latest is None:
+            latest = self._encoded - 1
         last = self._codes[latest]
         if m > CHAIN_TABLE_MAX:
             return _kernel_sum(self._codes[:latest], m - 1, closing=factors_from_codes(last))
         g = self._widths[m]
         codes = self._codes if g == 1 else self._grouped[g]
-        return _kernel_sum(codes[:latest], m - 1, closing_tables(m, last, g))
+        if tables is None:
+            tables = closing_tables(m, last, g)
+        return _kernel_sum(codes[:latest], m - 1, tables)
 
     def estimate(self, order: int) -> MomentEstimate:
         shots = len(self.record)
@@ -350,9 +415,10 @@ class OnlineRecordEstimator:
     C(T, m-1) fresh tuples ending at the new shot, so updates get
     quadratically slower (for m = 3) as the record grows, but no
     2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
-    are pairs of the past, evaluated by broadcasting a row block of
-    first indices against the later shots: work per pair, temporaries
-    bounded by a row block times T, state still O(T * N).
+    are pairs of the past, evaluated from the chain-table rows of a row
+    block of first indices, gathered at the later shots' codes: work per
+    pair, temporaries bounded by a row block times T, state still
+    O(T * N).
     """
 
     _state_kind = _KIND_RECORD
@@ -576,14 +642,8 @@ class AccumulatorSet:
             for lo in range(0, rows, step):
                 self._absorb_stacked(codes[lo : lo + step], traces[lo : lo + step])
             self._shots += rows
-        shots = np.arange(self._shots - rows + 1, self._shots + 1)
-        values = np.empty((rows, len(orders)))
-        defined = np.empty((rows, len(orders)), dtype=bool)
-        for col, k in enumerate(orders):
-            defined[:, col] = shots >= k
-            values[:, col] = traces[:, k - 1].real / np.where(
-                defined[:, col], _comb_floats(shots, k), 1.0
-            )
+        defined, combs = _defined_combs(np.arange(self._shots - rows + 1, self._shots + 1), orders)
+        values = traces[:, [k - 1 for k in orders]].real / combs
         values[~defined] = np.nan
         return values, defined
 
@@ -656,9 +716,9 @@ class _PluginSum:
 
 
 class _RetainedRecord:
-    """The ``batched`` strategy: keeps every shot (``update`` is the record's
-    ``append``) and reruns :func:`batched_estimate` over the record on
-    request; orders it cannot form yet are undefined."""
+    """The ``batched`` strategy: keeps every shot (``update`` and ``advance``
+    append to the record) and reruns :func:`batched_estimate` over the
+    record on request; orders it cannot form yet are undefined."""
 
     streaming = False
 
@@ -667,6 +727,7 @@ class _RetainedRecord:
         self._n_batches = n_batches
         self._record = ShadowRecord(n_qubits)
         self.update = self._record.append
+        self.advance = self._record._append_rows
 
     def estimate(self, order: int) -> MomentEstimate:
         try:
@@ -773,6 +834,7 @@ class MomentStream:
         self.strategy = strategy
         self.orders = orders
         self._shots = 0
+        self._n_qubits = n_qubits
         part = _part_qubits(part, n_qubits)
         self._estimator = _STRATEGIES[strategy](orders, part, n_qubits, n_batches)
 
@@ -790,19 +852,33 @@ class MomentStream:
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """:meth:`update` by each row of ``(B, N)`` axes and bits."""
-        for row_axes, row_bits in zip(axes, bits):
-            self.update(Snapshot(row_axes, row_bits))
+        """:meth:`update` by each row of ``(B, N)`` axes and bits.
+
+        The block is checked once (see :meth:`trajectory`).  A strategy with
+        its own ``advance`` absorbs it as arrays; any other goes through
+        :meth:`update` row by row.
+        """
+        axes, bits = _coerce_block(axes, bits, self._n_qubits)
+        block = getattr(self._estimator, "advance", None)
+        if block is None:
+            for row_axes, row_bits in zip(axes, bits):
+                self.update(Snapshot(row_axes, row_bits))
+        else:
+            block(axes, bits)
+            self._shots += len(axes)
 
     def trajectory(self, axes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Update by each row of ``(B, N)`` axes and bits and return every
         order's estimate after each row: ``(values, defined)``, both of
         shape ``(B, len(orders))``, values NaN where undefined.
 
-        A strategy with its own ``trajectory`` absorbs the block as arrays;
-        any other goes through :meth:`update` and :meth:`estimates` row by
-        row.
+        The block is checked once, by the rule of :class:`Snapshot`: matching
+        2-D shapes with the stream's qubit count, axes below 3 and bits
+        below 2, else ``ValueError``.  A strategy with its own
+        ``trajectory`` absorbs it as arrays; any other goes through
+        :meth:`update` and :meth:`estimates` row by row.
         """
+        axes, bits = _coerce_block(axes, bits, self._n_qubits)
         block = getattr(self._estimator, "trajectory", None)
         if block is None:
             values = np.empty((len(axes), len(self.orders)))

@@ -25,11 +25,13 @@ in that shot.  It folds the shot's codes into the chain tables once
 qubits share one lookup through combined codes (:func:`group_codes`)
 wherever no product of table values can round (:func:`group_width`).
 Pairs (those of the past that an order-3 shot closes, and the order-2
-U-statistic's) are evaluated without an index array: :func:`pair_blocks`
-describes the blocks of :func:`subset_index_chunks` as :class:`PairBlock`
-spans of first indices, and :func:`batch_code_traces` broadcasts
-``_PAIR_ROWS`` first rows at a time against the later code columns,
-which writes the same values in the same order.
+U-statistic's) are evaluated without an index array or a lookup key:
+:func:`pair_blocks` describes the blocks of :func:`subset_index_chunks`
+as :class:`PairBlock` spans of first indices, and :func:`batch_code_traces`
+gathers, for ``_PAIR_ROWS`` first indices at a time, their table rows and
+then the later shots' columns of those rows.  The product of the column
+grids, read along its upper triangle, is the same values in the same
+order.
 
 A dense evaluation builds every reconstruction and multiplies full
 matrices; it is the one independent cross-check of the direct path.
@@ -37,6 +39,7 @@ matrices; it is the one independent cross-check of the direct path.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -75,9 +78,11 @@ _CHUNK_SLOTS = 1 << 20
 # on its own, so the block size bounds temporaries and nothing else.
 _CODE_ROWS = 1 << 13
 
-# First indices per broadcast block of a pair evaluation; its key and
-# mask temporaries are this many rows by the record length.
+# First indices per block of a pair evaluation, fewer once the record is
+# long: a block's grids hold at most _PAIR_CELLS values (256 KB), since
+# larger ones measured 2-3x slower per pair (allocator page faults).
 _PAIR_ROWS = 32
+_PAIR_CELLS = 1 << 14
 
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
@@ -220,12 +225,15 @@ def batch_code_traces(
             f"{k}-tuples over {groups} code columns need tables of shape "
             f"{(groups,) + ('B',) * k}, got {tables.shape}"
         )
-    flat = np.ascontiguousarray(tables).reshape(groups, -1)
+    tables = np.ascontiguousarray(tables)
     per_qubit = groups > 1 and base <= 6
     out = np.empty(count, dtype=np.complex128)
+    if pairs:
+        _fill_pairs(out, codes, indices, tables, per_qubit)
+        return out
+    flat = tables.reshape(groups, -1)
     values, at = None, 0
-    blocks = _pair_keys(codes, indices, base) if pairs else _index_keys(codes, indices, base)
-    for size, keys in blocks:
+    for size, keys in _index_keys(codes, indices, base):
         block = out[at : at + size]
         if per_qubit and (values is None or len(values) < size):
             values = np.empty((size, groups), dtype=np.complex128)
@@ -260,31 +268,48 @@ def _index_keys(codes: np.ndarray, indices: np.ndarray, base: int):
         yield len(chunk), keys
 
 
-def _pair_keys(codes: np.ndarray, pairs: PairBlock, base: int):
-    """Yield ``(pairs, keys)`` per run of ``_PAIR_ROWS`` first indices of a
-    :class:`PairBlock`, the keys of :func:`_index_keys` without an index array.
+def _fill_pairs(
+    out: np.ndarray, codes: np.ndarray, pairs: PairBlock, tables: np.ndarray, per_qubit: bool
+) -> None:
+    """Write the values of a :class:`PairBlock` into ``out``, ``_PAIR_ROWS``
+    first indices at a time (fewer past ``_PAIR_CELLS // _PAIR_ROWS``
+    later shots), with no index array and no lookup key.
 
-    First indices ``i`` of a run against every later shot form the grid
-    of keys ``B * codes[i, g] + codes[j, g]``, one broadcast sum per
-    column.  Its upper triangle ``j > i``, read row by row, is the
-    lexicographic order of the pairs, so one mask selects them in every
-    column.
+    For first indices ``i`` and every later shot ``j``, column g's values
+    form the grid ``tables[g, codes[i, g], codes[j, g]]``: the table rows
+    of the first codes, then the columns of the later codes.  Its upper
+    triangle ``j > i``, read row by row, is the lexicographic order of the
+    pairs, so one mask selects the product of the grids (or, six-valued
+    per qubit, each grid before ``.prod(axis=1)``).
     """
     first, last, n = pairs.first, pairs.last, pairs.n
-    # The narrowest unsigned type that holds every key, so the broadcast
-    # sums and the mask select move 1 or 2 bytes per key instead of 8.
-    later = codes.T.astype(np.min_scalar_type(base * base - 1))
-    scaled = later * base
-    # Row a of a run pairs with later column b when b >= a, whatever the run.
+    columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
+    # Row a of a block pairs with later column b when b >= a, whatever the block.
     triangle = np.arange(n - 1 - first) >= np.arange(_PAIR_ROWS)[:, None]
-    for lo in range(first, last + 1, _PAIR_ROWS):
-        rows, width = min(_PAIR_ROWS, last + 1 - lo), n - 1 - lo
+    values, at, lo = None, 0, first
+    while lo <= last:
+        width = n - 1 - lo
+        rows = min(_PAIR_ROWS, max(1, _PAIR_CELLS // width), last + 1 - lo)
         upper = triangle[:rows, :width]
-        keys = [
-            (scaled[g, lo : lo + rows, None] + later[g, None, lo + 1 :])[upper]
-            for g in range(codes.shape[1])
-        ]
-        yield rows * width - rows * (rows - 1) // 2, keys
+        size = rows * width - rows * (rows - 1) // 2
+        if per_qubit and (values is None or len(values) < size):
+            values = np.empty((size, len(columns)), dtype=np.complex128)
+        product = None
+        for g, column in enumerate(columns):
+            grid = tables[g].take(column[lo : lo + rows], axis=0).take(column[lo + 1 :], axis=1)
+            if per_qubit:
+                values[:size, g] = grid[upper]
+            elif product is None:
+                product = grid
+            else:
+                product *= grid
+        block = out[at : at + size]
+        if per_qubit:
+            values[:size].prod(axis=1, out=block)
+        else:
+            block[:] = product[upper]
+        at += size
+        lo += rows
 
 
 def group_width(order: int, n_qubits: int) -> int:
@@ -335,7 +360,8 @@ def _group_gathers(k: int, width: int, n_qubits: int) -> np.ndarray:
 
 def closing_tables(order: int, last: np.ndarray, width: int) -> np.ndarray:
     """:func:`batch_code_traces` tables for ``(order - 1)``-tuples closed
-    by one fixed shot with per-qubit codes ``last``.
+    by one fixed shot with per-qubit codes ``last``; a stack of them for a
+    ``(..., N)`` stack of shots.
 
     Qubit q's folded table ``chain_trace_table(order).reshape(-1, 6)[:,
     last[q]]`` holds the traces of every chain that ends in that shot.  A
@@ -343,17 +369,17 @@ def closing_tables(order: int, last: np.ndarray, width: int) -> np.ndarray:
     the outer product of its qubits' folded tables, multiplied left to
     right; the padding qubits of a short last group contribute ones.
     """
-    k, n_qubits = order - 1, len(last)
-    folded = np.ones((n_qubits + 1, 6**k), dtype=np.complex128)
-    folded[:n_qubits] = chain_trace_table(order).reshape(-1, 6).T[last]
+    k, lead, n_qubits = order - 1, last.shape[:-1], last.shape[-1]
+    folded = np.ones(lead + (n_qubits + 1, 6**k), dtype=np.complex128)
+    folded[..., :n_qubits, :] = chain_trace_table(order).reshape(-1, 6).T[last]
     if width == 1:
-        return folded[:n_qubits].reshape((n_qubits,) + (6,) * k)
+        return folded[..., :n_qubits, :].reshape(lead + (n_qubits,) + (6,) * k)
     gathers = _group_gathers(k, width, n_qubits)
-    flat = folded.reshape(-1)
-    tables = flat.take(gathers[0])
+    flat = folded.reshape(lead + (-1,))
+    tables = flat.take(gathers[0], axis=-1)
     for p in range(1, width):
-        tables *= flat.take(gathers[p])
-    return tables.reshape((len(tables),) + (6**width,) * k)
+        tables *= flat.take(gathers[p], axis=-1)
+    return tables.reshape(lead + (gathers.shape[1],) + (6**width,) * k)
 
 
 def batch_tuple_traces(
@@ -465,12 +491,15 @@ def _pair_spans(n: int, rows: int) -> Iterator[tuple[int, int, int]]:
     """``(first, last, pairs)`` of each pair block of ``range(n)``: pairs
     are grouped by first index, and a block ends with the first whole
     group that brings it to at least ``rows`` pairs."""
-    ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+
+    def ends(i: int) -> int:  # the pairs whose first index is at most i
+        return (i + 1) * (n - 1) - i * (i + 1) // 2
+
     first, done = 0, 0
     while first < n - 1:
-        last = min(max(int(np.searchsorted(ends, done + rows)), first), n - 2)
-        yield first, last, int(ends[last]) - done
-        first, done = last + 1, int(ends[last])
+        last = min(max(bisect.bisect_left(range(n - 1), done + rows, key=ends), first), n - 2)
+        yield first, last, ends(last) - done
+        first, done = last + 1, ends(last)
 
 
 def _tuple_fields(snapshots: Sequence[Snapshot]):

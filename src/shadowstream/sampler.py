@@ -118,6 +118,26 @@ def _coerce_fields(values, what: str, upper: int) -> np.ndarray:
     return arr
 
 
+def _coerce_block(axes, bits, n_qubits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, N)`` axes and bits as ``uint8`` arrays, checked by the rule of
+    :class:`Snapshot` row for row: matching 2-D shapes, ``n_qubits``
+    columns when given, axes below 3 and bits below 2.  Anything else
+    raises ``ValueError``."""
+    axes = np.asarray(axes).astype(np.uint8, copy=False)
+    bits = np.asarray(bits).astype(np.uint8, copy=False)
+    if axes.ndim != 2 or axes.shape != bits.shape:
+        raise ValueError(
+            f"axes and bits must be matching (T, N) arrays, got {axes.shape} and {bits.shape}"
+        )
+    if n_qubits is not None and axes.shape[1] != n_qubits:
+        raise ValueError(f"shots have {axes.shape[1]} qubits, expected {n_qubits}")
+    if axes.size and int(axes.max()) > 2:
+        raise ValueError("axis codes must be 0, 1 or 2")
+    if bits.size and int(bits.max()) > 1:
+        raise ValueError("outcome bits must be 0 or 1")
+    return axes, bits
+
+
 class Snapshot:
     """One shot's classical data: a basis axis and an outcome bit per qubit.
 
@@ -450,14 +470,7 @@ class ShadowRecord:
     def from_arrays(
         cls, axes, bits, seed: int | None = None, descriptor: str = ""
     ) -> "ShadowRecord":
-        axes = np.asarray(axes, dtype=np.uint8)
-        bits = np.asarray(bits, dtype=np.uint8)
-        if axes.ndim != 2 or axes.shape != bits.shape:
-            raise ValueError("axes and bits must be matching (T, N) arrays")
-        if axes.size and int(axes.max()) > 2:
-            raise ValueError("axis codes must be 0, 1 or 2")
-        if bits.size and int(bits.max()) > 1:
-            raise ValueError("outcome bits must be 0 or 1")
+        axes, bits = _coerce_block(axes, bits)
         rec = cls(axes.shape[1], seed=seed, descriptor=descriptor)
         rec._axes = axes.copy()
         rec._bits = bits.copy()
@@ -499,15 +512,32 @@ class ShadowRecord:
             raise ValueError(
                 f"snapshot has {snapshot.n_qubits} qubits, record has {self._n}"
             )
-        if self._len == self._axes.shape[0]:
-            capacity = max(16, 2 * self._axes.shape[0])
+        self._reserve(self._len + 1)
+        self._axes[self._len] = snapshot.axes
+        self._bits[self._len] = snapshot.bits
+        self._len += 1
+
+    def append_block(self, axes, bits) -> None:
+        """Append the rows of ``(B, N)`` axes and bits, checked as
+        :meth:`from_arrays` checks them, with one array write."""
+        self._append_rows(*_coerce_block(axes, bits, self._n))
+
+    def _append_rows(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        """:meth:`append_block` for rows already checked."""
+        end = self._len + len(axes)
+        self._reserve(end)
+        self._axes[self._len : end] = axes
+        self._bits[self._len : end] = bits
+        self._len = end
+
+    def _reserve(self, total: int) -> None:
+        """Room for ``total`` shots, the capacity at least doubling when it grows."""
+        if total > self._axes.shape[0]:
+            capacity = max(16, 2 * self._axes.shape[0], total)
             for name in ("_axes", "_bits"):
                 grown = np.empty((capacity, self._n), dtype=np.uint8)
                 grown[: self._len] = getattr(self, name)[: self._len]
                 setattr(self, name, grown)
-        self._axes[self._len] = snapshot.axes
-        self._bits[self._len] = snapshot.bits
-        self._len += 1
 
     def extend(self, snapshots) -> None:
         for s in snapshots:

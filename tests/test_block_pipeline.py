@@ -26,6 +26,7 @@ from shadowstream import (
     DensityMatrix,
     ExperimentConfig,
     MomentStream,
+    Snapshot,
     load_estimator_state,
     newton_girard,
     save_estimator_state,
@@ -33,6 +34,7 @@ from shadowstream import (
     stream_shadows,
     werner_state,
 )
+from shadowstream.kernel import _PAIR_ROWS, group_width, pair_blocks
 from shadowstream.runner import (
     _build_state,
     _observe,
@@ -164,6 +166,111 @@ class TestAccumulatorTrajectory:
         )
         assert values.tobytes() == np.array(expected).tobytes()
         assert block.shots == one.shots == 90
+
+
+def random_block(n, count, seed):
+    """Uniformly random ``(count, n)`` axes and bits."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, (count, n)), rng.integers(0, 2, (count, n))
+
+
+def per_shot_stream(strategy, orders, n, axes, bits, n_batches=None):
+    """A stream fed shot by shot, and its estimates after each shot."""
+    stream = MomentStream(strategy, orders, tuple(range(n // 2, n)), n, n_batches=n_batches)
+    values = []
+    for row_axes, row_bits in zip(axes, bits):
+        stream.update(Snapshot(row_axes, row_bits))
+        values.append([est.value for est in stream.estimates().values()])
+    return stream, np.array(values)
+
+
+def same_estimates(a, b):
+    return [(e.shots, e.well_defined, np.float64(e.value).tobytes()) for e in a.values()] == [
+        (e.shots, e.well_defined, np.float64(e.value).tobytes()) for e in b.values()
+    ]
+
+
+class TestRecordTrajectory:
+    """The record-only engine absorbs a block as arrays: one record write,
+    one encoding and the running sums after each row, equal to per-shot
+    ``update``/``estimates`` byte for byte."""
+
+    @staticmethod
+    def assert_blocks_match(n, orders, count, seed, sizes=(3, 64, 19, 128)):
+        axes, bits = random_block(n, count, seed)
+        one, expected = per_shot_stream("online-norecon", orders, n, axes, bits)
+        block = MomentStream("online-norecon", orders, tuple(range(n // 2, n)), n)
+        got, seen = [], []
+        for lo, hi in ragged_blocks(count, sizes):
+            values, defined = block.trajectory(axes[lo:hi], bits[lo:hi])
+            got.append(values)
+            seen.append(defined)
+        assert np.concatenate(got).tobytes() == expected.tobytes()
+        assert np.array_equal(np.concatenate(seen), ~np.isnan(expected))
+        assert block.shots == one.shots == count
+        assert block._estimator.record.to_bytes() == one._estimator.record.to_bytes()
+        assert same_estimates(block.estimates(), one.estimates())
+
+    @pytest.mark.parametrize("orders", [(1, 2, 3), (2, 3, 4)])
+    @pytest.mark.parametrize("n, count", [(2, 90), (4, 90), (8, 90), (10, 60)])
+    def test_trajectory_equals_per_shot_updates(self, n, count, orders):
+        self.assert_blocks_match(n, orders, count, seed=10 * n + orders[0])
+
+    def test_per_qubit_pair_spans(self):
+        # Past 9 qubits order 3 looks pairs up qubit by qubit (``.prod``).
+        assert group_width(3, 10) == 1
+        self.assert_blocks_match(10, (3,), 80, seed=4, sizes=(80,))
+
+    def test_spans_across_row_blocks(self):
+        # From 363 earlier shots on, the pairs of the past fill several pair
+        # blocks, each cut into many ``_PAIR_ROWS`` row blocks.
+        assert len(list(pair_blocks(610))) == 3
+        assert 610 > 4 * _PAIR_ROWS
+        self.assert_blocks_match(4, (2, 3), 620, seed=6)
+
+    @pytest.mark.parametrize("strategy", ["ustat", "batched", "online-norecon"])
+    def test_advance_equals_per_shot_updates(self, strategy, monkeypatch):
+        axes, bits = random_block(3, 150, 9)
+        blocks = list(ragged_blocks(150, (3, 64, 19, 128)))
+        one = MomentStream(strategy, (1, 2, 3), (1, 2), 3, n_batches=4)
+        expected = []
+        for lo, hi in blocks:
+            for row_axes, row_bits in zip(axes[lo:hi], bits[lo:hi]):
+                one.update(Snapshot(row_axes, row_bits))
+            expected.append(one.estimates())
+
+        def no_snapshots(*args):
+            raise AssertionError("a block path built a per-shot Snapshot")
+
+        monkeypatch.setattr(shadowstream.estimators, "Snapshot", no_snapshots)
+        block = MomentStream(strategy, (1, 2, 3), (1, 2), 3, n_batches=4)
+        for (lo, hi), want in zip(blocks, expected):
+            block.advance(axes[lo:hi], bits[lo:hi])
+            assert same_estimates(block.estimates(), want)
+        assert block.shots == one.shots == 150
+
+
+MALFORMED = {
+    "bit 2": ([[1, 0]], [[0, 2]]),
+    "axis 3": ([[3, 0]], [[0, 1]]),
+    "three qubits": ([[0, 1, 2]], [[0, 1, 0]]),
+    "one-dimensional": ([0, 1], [0, 1]),
+    "shapes differ": ([[0, 1]], [[0, 1], [1, 0]]),
+}
+
+
+class TestBlockChecks:
+    @pytest.mark.parametrize("method", ["trajectory", "advance"])
+    @pytest.mark.parametrize(
+        "strategy", ["online-recon", "online-norecon", "ustat", "plugin", "batched"]
+    )
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_blocks_raise(self, case, strategy, method):
+        axes, bits = MALFORMED[case]
+        stream = MomentStream(strategy, (2, 3), (1,), 2, n_batches=3)
+        with pytest.raises(ValueError):
+            getattr(stream, method)(np.array(axes), np.array(bits))
+        assert stream.shots == 0
 
 
 def scalar_newton_girard(p):

@@ -317,6 +317,35 @@ class TestShadowRecord:
         with pytest.raises(ValueError):
             ShadowRecord.from_arrays(np.full((1, 2), 7), np.zeros((1, 2)))
 
+    def test_block_append_equals_shot_by_shot(self):
+        rec = stream_shadows(werner_state(2, 0.9), 300, seed=12)
+        by_shot = ShadowRecord(2, seed=12, descriptor=rec.descriptor)
+        by_block = ShadowRecord(2, seed=12, descriptor=rec.descriptor)
+        for snap in rec:
+            by_shot.append(snap)
+        # Empty, small and large blocks, one past twice the capacity.
+        for lo, hi in [(0, 0), (0, 3), (3, 67), (67, 86), (86, 214), (214, 300)]:
+            by_block.append_block(rec.axes[lo:hi], rec.bits[lo:hi])
+        assert by_block == by_shot == rec
+        assert by_block.to_bytes() == by_shot.to_bytes() == rec.to_bytes()
+
+    @pytest.mark.parametrize(
+        "axes, bits",
+        [
+            ([[1, 0]], [[0, 2]]),
+            ([[3, 0]], [[0, 1]]),
+            ([[0, 1, 2]], [[0, 1, 0]]),
+            ([0, 1], [0, 1]),
+            ([[0, 1]], [[0, 1], [1, 0]]),
+        ],
+    )
+    def test_block_append_validation(self, axes, bits):
+        rec = ShadowRecord(2)
+        rec.append(Snapshot("XY", [0, 1]))
+        with pytest.raises(ValueError):
+            rec.append_block(np.array(axes), np.array(bits))
+        assert list(rec) == [Snapshot("XY", [0, 1])]
+
     def test_binary_round_trip(self):
         rec = stream_shadows(werner_state(2, 0.9), 37, seed=11, descriptor="round trip")
         clone = ShadowRecord.from_bytes(rec.to_bytes())
