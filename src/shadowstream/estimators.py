@@ -379,19 +379,15 @@ class _RecordSums:
                 sums[latest - start] = [self.sums[m] for m in orders]
         return sums
 
-    def _fresh(self, m: int, latest: int | None = None, tables=None) -> complex:
-        """The kernel summed over the m-subsets that shot ``latest`` (by
-        default the last one encoded) closes; ``tables`` are its
-        :func:`closing_tables` if already built."""
-        if latest is None:
-            latest = self._encoded - 1
-        last = self._codes[latest]
+    def _fresh(self, m: int, latest: int, tables: np.ndarray | None) -> complex:
+        """The kernel summed over the m-subsets that shot ``latest`` closes;
+        ``tables`` are its :func:`closing_tables` (``None`` past
+        ``CHAIN_TABLE_MAX``, where its 2x2 factors close the chains)."""
         if m > CHAIN_TABLE_MAX:
-            return _kernel_sum(self._codes[:latest], m - 1, closing=factors_from_codes(last))
+            closing = factors_from_codes(self._codes[latest])
+            return _kernel_sum(self._codes[:latest], m - 1, closing=closing)
         g = self._widths[m]
         codes = self._codes if g == 1 else self._grouped[g]
-        if tables is None:
-            tables = closing_tables(m, last, g)
         return _kernel_sum(codes[:latest], m - 1, tables)
 
     def estimate(self, order: int) -> MomentEstimate:
@@ -612,9 +608,9 @@ class AccumulatorSet:
     def trajectory(
         self, axes: np.ndarray, bits: np.ndarray, orders
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Absorb the rows of ``(B, N)`` axes and bits; return the estimates
-        of ``orders`` after each row as ``(values, defined)``, both ``(B,
-        len(orders))``.
+        """Absorb the rows of checked ``(B, N)`` axes and bits; return the
+        estimates of ``orders`` after each row as ``(values, defined)``,
+        both ``(B, len(orders))``.
 
         Up to ``FACTOR_QUBITS`` qubits the block is absorbed as stacked
         products: with ``R_t`` the transposed snapshots, ``S_k`` after row
@@ -627,8 +623,6 @@ class AccumulatorSet:
         numerators fit in 53 bits, and ``tr / comb(t, k)`` in float64 is
         the real part of Python's ``complex / int``.
         """
-        if axes.shape[1] != self._n:
-            raise ValueError(f"shots have {axes.shape[1]} qubits, accumulator has {self._n}")
         codes = _pt_codes(axes, bits, self._mask)
         rows = len(codes)
         traces = np.empty((rows, self._m), dtype=np.complex128)

@@ -78,11 +78,9 @@ _CHUNK_SLOTS = 1 << 20
 # on its own, so the block size bounds temporaries and nothing else.
 _CODE_ROWS = 1 << 13
 
-# First indices per block of a pair evaluation, fewer once the record is
-# long: a block's grids hold at most _PAIR_CELLS values (256 KB), since
-# larger ones measured 2-3x slower per pair (allocator page faults).
+# First indices per block of a pair evaluation; its grid temporaries are
+# this many rows by the record length.
 _PAIR_ROWS = 32
-_PAIR_CELLS = 1 << 14
 
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
@@ -272,8 +270,7 @@ def _fill_pairs(
     out: np.ndarray, codes: np.ndarray, pairs: PairBlock, tables: np.ndarray, per_qubit: bool
 ) -> None:
     """Write the values of a :class:`PairBlock` into ``out``, ``_PAIR_ROWS``
-    first indices at a time (fewer past ``_PAIR_CELLS // _PAIR_ROWS``
-    later shots), with no index array and no lookup key.
+    first indices at a time, with no index array and no lookup key.
 
     For first indices ``i`` and every later shot ``j``, column g's values
     form the grid ``tables[g, codes[i, g], codes[j, g]]``: the table rows
@@ -286,10 +283,9 @@ def _fill_pairs(
     columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
     # Row a of a block pairs with later column b when b >= a, whatever the block.
     triangle = np.arange(n - 1 - first) >= np.arange(_PAIR_ROWS)[:, None]
-    values, at, lo = None, 0, first
-    while lo <= last:
-        width = n - 1 - lo
-        rows = min(_PAIR_ROWS, max(1, _PAIR_CELLS // width), last + 1 - lo)
+    values, at = None, 0
+    for lo in range(first, last + 1, _PAIR_ROWS):
+        rows, width = min(_PAIR_ROWS, last + 1 - lo), n - 1 - lo
         upper = triangle[:rows, :width]
         size = rows * width - rows * (rows - 1) // 2
         if per_qubit and (values is None or len(values) < size):
@@ -309,7 +305,6 @@ def _fill_pairs(
         else:
             block[:] = product[upper]
         at += size
-        lo += rows
 
 
 def group_width(order: int, n_qubits: int) -> int:

@@ -121,21 +121,31 @@ def _coerce_fields(values, what: str, upper: int) -> np.ndarray:
 def _coerce_block(axes, bits, n_qubits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(B, N)`` axes and bits as ``uint8`` arrays, checked by the rule of
     :class:`Snapshot` row for row: matching 2-D shapes, ``n_qubits``
-    columns when given, axes below 3 and bits below 2.  Anything else
-    raises ``ValueError``."""
-    axes = np.asarray(axes).astype(np.uint8, copy=False)
-    bits = np.asarray(bits).astype(np.uint8, copy=False)
+    columns when given, integer axes 0 to 2 and integer bits 0 or 1.
+    Anything else raises ``ValueError``; values are checked before they
+    are cast, so none wraps round into range."""
+    axes, bits = np.asarray(axes), np.asarray(bits)
     if axes.ndim != 2 or axes.shape != bits.shape:
         raise ValueError(
             f"axes and bits must be matching (T, N) arrays, got {axes.shape} and {bits.shape}"
         )
     if n_qubits is not None and axes.shape[1] != n_qubits:
         raise ValueError(f"shots have {axes.shape[1]} qubits, expected {n_qubits}")
-    if axes.size and int(axes.max()) > 2:
-        raise ValueError("axis codes must be 0, 1 or 2")
-    if bits.size and int(bits.max()) > 1:
-        raise ValueError("outcome bits must be 0 or 1")
-    return axes, bits
+    return (
+        _block_field(axes, "axis codes must be 0, 1 or 2", 3),
+        _block_field(bits, "outcome bits must be 0 or 1", 2),
+    )
+
+
+def _block_field(values: np.ndarray, message: str, upper: int) -> np.ndarray:
+    """``values`` as ``uint8`` if they are integers in ``[0, upper)``."""
+    if values.size and (
+        values.dtype.kind not in "biu"
+        or (values.dtype.kind == "i" and int(values.min()) < 0)
+        or int(values.max()) >= upper
+    ):
+        raise ValueError(message)
+    return values.astype(np.uint8, copy=False)
 
 
 class Snapshot:
@@ -517,13 +527,9 @@ class ShadowRecord:
         self._bits[self._len] = snapshot.bits
         self._len += 1
 
-    def append_block(self, axes, bits) -> None:
-        """Append the rows of ``(B, N)`` axes and bits, checked as
-        :meth:`from_arrays` checks them, with one array write."""
-        self._append_rows(*_coerce_block(axes, bits, self._n))
-
     def _append_rows(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """:meth:`append_block` for rows already checked."""
+        """Append ``(B, N)`` axes and bits, already checked (see
+        :func:`_coerce_block`), with one array write."""
         end = self._len + len(axes)
         self._reserve(end)
         self._axes[self._len : end] = axes

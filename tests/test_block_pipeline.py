@@ -256,6 +256,9 @@ MALFORMED = {
     "three qubits": ([[0, 1, 2]], [[0, 1, 0]]),
     "one-dimensional": ([0, 1], [0, 1]),
     "shapes differ": ([[0, 1]], [[0, 1], [1, 0]]),
+    "axis 256": ([[256, 0]], [[0, 1]]),
+    "bit -1": ([[1, 0]], [[0, -1]]),
+    "axis 0.5": ([[0.5, 0]], [[0, 1]]),
 }
 
 

@@ -37,6 +37,7 @@ from shadowstream.kernel import (
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
+    closing_tables,
     factors_from_codes,
     group_width,
     pt_flip,
@@ -248,7 +249,7 @@ class TestClosingShotFold:
             if t + 1 < m or (checked is not None and t not in checked):
                 continue
             want = closed_tuple_fresh(codes, t, m, chain_trace_table(m) if table is None else table)
-            got = sums._fresh(m)
+            got = sums._fresh(m, t, closing_tables(m, sums._codes[t], sums._widths[m]))
             assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (n, m, t)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -287,7 +288,7 @@ class TestClosingShotFold:
             for chunk in subset_index_chunks(t, 6):
                 closed = np.concatenate([chunk, np.full((len(chunk), 1), t)], axis=1)
                 want += batch_tuple_traces(factors, closed).sum()
-            assert np.complex128(sums._fresh(7)).tobytes() == np.complex128(want).tobytes()
+            assert np.complex128(sums._fresh(7, t, None)).tobytes() == np.complex128(want).tobytes()
 
     @pytest.mark.parametrize("n, m", [(3, 4), (10, 3), (13, 2)])
     def test_qubit_order_where_groups_are_single(self, monkeypatch, n, m):

@@ -17,8 +17,6 @@ from shadowstream.kernel import (
     CHAIN_NUMERATORS,
     CHAIN_TABLE_MAX,
     GROUPED_EXACT_QUBITS,
-    _PAIR_CELLS,
-    _PAIR_ROWS,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -351,16 +349,5 @@ class TestPairBlocks:
         for span, chunk in zip(spans, chunks):
             assert len(span) == len(chunk)
             assert (span.first, span.last, span.n) == (chunk[0, 0], chunk[-1, 0], n)
-            got = batch_code_traces(codes, span, tables)
-            assert got.tobytes() == batch_code_traces(codes, chunk, tables).tobytes()
-
-    @pytest.mark.parametrize("kind", ["grouped", "per-qubit"])
-    def test_long_spans_take_fewer_rows(self, kind):
-        # Past _PAIR_CELLS // _PAIR_ROWS later shots a row block holds fewer
-        # first indices, so that its grids stay within _PAIR_CELLS values.
-        n = 1100
-        assert _PAIR_CELLS // (n - 2) < _PAIR_ROWS
-        codes, tables = self.codes_and_tables(kind, n, np.random.default_rng(n))
-        for span, chunk in zip(pair_blocks(n), subset_index_chunks(n, 2)):
             got = batch_code_traces(codes, span, tables)
             assert got.tobytes() == batch_code_traces(codes, chunk, tables).tobytes()

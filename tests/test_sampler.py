@@ -28,6 +28,7 @@ from shadowstream.sampler import (
     AXIS_Y,
     AXIS_Z,
     FACTORS,
+    _coerce_block,
     codes_matrix,
     inverse_channel_factor,
 )
@@ -325,7 +326,7 @@ class TestShadowRecord:
             by_shot.append(snap)
         # Empty, small and large blocks, one past twice the capacity.
         for lo, hi in [(0, 0), (0, 3), (3, 67), (67, 86), (86, 214), (214, 300)]:
-            by_block.append_block(rec.axes[lo:hi], rec.bits[lo:hi])
+            by_block._append_rows(rec.axes[lo:hi], rec.bits[lo:hi])
         assert by_block == by_shot == rec
         assert by_block.to_bytes() == by_shot.to_bytes() == rec.to_bytes()
 
@@ -334,17 +335,32 @@ class TestShadowRecord:
         [
             ([[1, 0]], [[0, 2]]),
             ([[3, 0]], [[0, 1]]),
-            ([[0, 1, 2]], [[0, 1, 0]]),
             ([0, 1], [0, 1]),
             ([[0, 1]], [[0, 1], [1, 0]]),
+            # Checked before the cast to uint8, so none wraps round into range.
+            ([[256, 0]], [[0, 1]]),
+            ([[0, 1]], [[257, 0]]),
+            ([[-1, 0]], [[0, 1]]),
+            ([[0, 1]], [[0, -1]]),
+            ([[0.5, 0]], [[0, 1]]),
+            ([[0, 1]], [[1.9, 0]]),
         ],
     )
-    def test_block_append_validation(self, axes, bits):
-        rec = ShadowRecord(2)
-        rec.append(Snapshot("XY", [0, 1]))
+    def test_block_validation(self, axes, bits):
         with pytest.raises(ValueError):
-            rec.append_block(np.array(axes), np.array(bits))
-        assert list(rec) == [Snapshot("XY", [0, 1])]
+            _coerce_block(np.array(axes), np.array(bits), 2)
+        with pytest.raises(ValueError):
+            ShadowRecord.from_arrays(axes, bits)
+
+    def test_block_coercion(self):
+        for dtype in (np.uint8, np.int64, bool):
+            axes, bits = _coerce_block(np.ones((3, 2), dtype), np.zeros((3, 2), dtype), 2)
+            assert axes.dtype == bits.dtype == np.uint8
+            assert axes.tolist() == [[1, 1]] * 3 and bits.tolist() == [[0, 0]] * 3
+        axes, bits = _coerce_block(np.zeros((0, 2)), np.zeros((0, 2)), 2)
+        assert axes.shape == bits.shape == (0, 2) and axes.dtype == np.uint8
+        with pytest.raises(ValueError):
+            _coerce_block(np.zeros((1, 3), int), np.zeros((1, 3), int), 2)
 
     def test_binary_round_trip(self):
         rec = stream_shadows(werner_state(2, 0.9), 37, seed=11, descriptor="round trip")
