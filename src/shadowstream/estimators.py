@@ -57,6 +57,8 @@ import numpy as np
 from .errors import InsufficientDataError, UnsupportedOrderError
 from .kernel import (
     CHAIN_TABLE_MAX,
+    PairSum,
+    Scratch,
     _pt_codes,
     _transpose_mask,
     batch_code_traces,
@@ -67,6 +69,7 @@ from .kernel import (
     group_codes,
     group_width,
     pair_blocks,
+    pairs_sum_exactly,
     pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
     subset_index_chunks,
@@ -283,11 +286,12 @@ class _RecordSums:
     (:func:`closing_tables`, built for ``_TABLE_SHOTS`` shots of a block
     at a time) and evaluates only the ``(m-1)``-subsets of
     the past: ``N / g`` gathers and multiplies per tuple, with ``g =
-    group_width(m, N)`` qubits per gather (4 at m = 2, 2 at m = 3, 1
-    from m = 4), instead of ``m * N`` code gathers, ``N`` table gathers
-    and ``N`` multiplies.  Grouped products equal the left-to-right
-    qubit products bit for bit while every ``2**m`` times a chain trace
-    has modulus at most ``M_m`` and ``M_m**N <= 2**53``:
+    group_width(m, N)`` qubits per gather (2 at m = 2 and 3, which share
+    one set of group codes, 1 from m = 4), instead of ``m * N`` code
+    gathers, ``N`` table gathers and ``N`` multiplies.  Grouped products
+    equal the left-to-right qubit products bit for bit while every
+    ``2**m`` times a chain trace has modulus at most ``M_m`` and
+    ``M_m**N <= 2**53``:
 
     ====  =====  ==========
     m     M_m    exact to N
@@ -303,12 +307,34 @@ class _RecordSums:
     evaluation bit for bit at every N.  Orders past ``CHAIN_TABLE_MAX``
     close each 2x2 factor chain with the new shot's factors instead.
 
-    The pairs that an order-3 update closes reach the kernel as
-    :func:`pair_blocks` spans, never as index arrays or lookup keys: the
-    work is per pair (one gather per code column from the table rows of
-    its first shot, then a multiply), the temporaries are bounded by a row
-    block of first indices times T, and the state is still the O(T * N)
-    codes.
+    The pairs that an order-3 update closes are never index arrays or
+    lookup keys.  While their sum is exact in any order
+    (:func:`pairs_sum_exactly`: ``C(t, 2) * 56**N <= 2**53`` for ``t``
+    earlier shots), they reach the kernel as one :class:`PairSum`: each
+    code column's closing columns (its table at the earlier shots' codes,
+    36 entries per shot) are gathered at the first shots' codes, a column
+    block of later shots at a time, and one BLAS dot per block sums the
+    products, with no value array.  That holds up to
+
+    ====  =================
+    N     earlier shots t
+    ====  =================
+    1     17 935 598
+    2     2 396 745
+    3     320 279
+    4     42 799
+    5     5 719
+    6     764
+    7     102
+    8     14
+    9     2
+    ====  =================
+
+    and past it, or with six-valued per-qubit columns (N > 9), they come
+    as :func:`pair_blocks` spans and are evaluated value by value from
+    the table rows of their first shots.  Either way the sums have the
+    same bits; the work is per pair, the temporaries are bounded by a
+    block of shots times T, and the state is still the O(T * N) codes.
     """
 
     streaming = True
@@ -325,6 +351,7 @@ class _RecordSums:
             for g in set(self._widths.values()) - {1}
         }
         self._encoded = 0
+        self._scratch = Scratch()
 
     def update(self, snapshot: Snapshot) -> None:
         self.record.append(snapshot)
@@ -387,8 +414,10 @@ class _RecordSums:
             closing = factors_from_codes(self._codes[latest])
             return _kernel_sum(self._codes[:latest], m - 1, closing=closing)
         g = self._widths[m]
-        codes = self._codes if g == 1 else self._grouped[g]
-        return _kernel_sum(codes[:latest], m - 1, tables)
+        codes = (self._codes if g == 1 else self._grouped[g])[:latest]
+        if m == 3 and pairs_sum_exactly(self.record.n_qubits, latest):
+            return batch_code_traces(codes, PairSum(latest, self._scratch), tables)[0]
+        return _kernel_sum(codes, m - 1, tables)
 
     def estimate(self, order: int) -> MomentEstimate:
         shots = len(self.record)
@@ -411,10 +440,13 @@ class OnlineRecordEstimator:
     C(T, m-1) fresh tuples ending at the new shot, so updates get
     quadratically slower (for m = 3) as the record grows, but no
     2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
-    are pairs of the past, evaluated from the chain-table rows of a row
-    block of first indices, gathered at the later shots' codes: work per
-    pair, temporaries bounded by a row block times T, state still
-    O(T * N).
+    are pairs of the past.  While their sum is exact in any order (up to
+    42 799 earlier shots at N = 4, 764 at N = 6, 102 at N = 7; see
+    ``_RecordSums``) it is taken by BLAS dots over closing columns, the
+    new shot's tables at the later shots' codes gathered at the first
+    shots' codes; past that, value by value from the chain-table rows of
+    a row block of first indices.  Work per pair, temporaries bounded by
+    a block of shots times T, state still O(T * N).
     """
 
     _state_kind = _KIND_RECORD

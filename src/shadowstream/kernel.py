@@ -25,13 +25,18 @@ in that shot.  It folds the shot's codes into the chain tables once
 qubits share one lookup through combined codes (:func:`group_codes`)
 wherever no product of table values can round (:func:`group_width`).
 Pairs (those of the past that an order-3 shot closes, and the order-2
-U-statistic's) are evaluated without an index array or a lookup key:
-:func:`pair_blocks` describes the blocks of :func:`subset_index_chunks`
-as :class:`PairBlock` spans of first indices, and :func:`batch_code_traces`
-gathers, for ``_PAIR_ROWS`` first indices at a time, their table rows and
-then the later shots' columns of those rows.  The product of the column
-grids, read along its upper triangle, is the same values in the same
-order.
+U-statistic's) are evaluated without an index array or a lookup key.
+Where only their sum is needed and every partial sum is exact
+(:func:`pairs_sum_exactly`), a :class:`PairSum` asks
+:func:`batch_code_traces` for that sum: each code column's closing
+columns (its table at the later shots' codes) are gathered at the first
+shots' codes, a column block of later shots at a time, and one BLAS dot
+sums the block.  Elsewhere :func:`pair_blocks` describes the blocks of
+:func:`subset_index_chunks` as :class:`PairBlock` spans of first
+indices, and :func:`batch_code_traces` gathers, for ``_PAIR_ROWS`` first
+indices at a time, their table rows and then the later shots' columns of
+those rows.  The product of the column grids, read along its upper
+triangle, is the same values in the same order.
 
 A dense evaluation builds every reconstruction and multiplies full
 matrices; it is the one independent cross-check of the direct path.
@@ -40,8 +45,10 @@ matrices; it is the one independent cross-check of the direct path.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,6 +74,9 @@ __all__ = [
     "subset_index_chunks",
     "PairBlock",
     "pair_blocks",
+    "PairSum",
+    "Scratch",
+    "pairs_sum_exactly",
 ]
 
 # Upper bound on gathered (tuple, position, qubit) factor slots per chunk;
@@ -81,6 +91,10 @@ _CODE_ROWS = 1 << 13
 # First indices per block of a pair evaluation; its grid temporaries are
 # this many rows by the record length.
 _PAIR_ROWS = 32
+
+# Later shots per column block of a summed pair evaluation; its row
+# gathers are this many columns by the record length.
+_SUM_COLUMNS = 64
 
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
@@ -181,7 +195,7 @@ def chain_trace_table(length: int) -> np.ndarray:
 
 
 def batch_code_traces(
-    codes: np.ndarray, indices: np.ndarray | PairBlock, tables: np.ndarray | None = None
+    codes: np.ndarray, indices: np.ndarray | PairBlock | PairSum, tables: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the trace kernel for many index tuples via table lookup.
 
@@ -191,7 +205,10 @@ def batch_code_traces(
     columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
     codes[i_k, g]]``.  ``indices`` is a ``(K, k)`` index array or a
     :class:`PairBlock`, which evaluates to the same values as the pair
-    array it spans.
+    array it spans, or a :class:`PairSum`, which evaluates to a
+    one-element array: the sum of the values of all its pairs, taken in
+    whatever order :func:`_sum_pairs` takes it (so equal to a sum in
+    lexicographic order only where :func:`pairs_sum_exactly` holds).
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -204,7 +221,7 @@ def batch_code_traces(
     product rounds, multiply elementwise.
     """
     codes = np.asarray(codes)
-    pairs = isinstance(indices, PairBlock)
+    pairs = isinstance(indices, (PairBlock, PairSum))
     if pairs:
         count, k = len(indices), 2
     else:
@@ -224,6 +241,8 @@ def batch_code_traces(
             f"{(groups,) + ('B',) * k}, got {tables.shape}"
         )
     tables = np.ascontiguousarray(tables)
+    if isinstance(indices, PairSum):
+        return np.array([_sum_pairs(codes, indices, tables)])
     per_qubit = groups > 1 and base <= 6
     out = np.empty(count, dtype=np.complex128)
     if pairs:
@@ -307,18 +326,99 @@ def _fill_pairs(
         at += size
 
 
+class Scratch:
+    """A complex buffer that its owner keeps across calls, grown to the
+    largest size asked for: a freed buffer of that size would be given
+    back to the operating system and faulted in again at the next call."""
+
+    def __init__(self) -> None:
+        self._buffer = np.empty(0, dtype=np.complex128)
+
+    def entries(self, size: int) -> np.ndarray:
+        """The first ``size`` entries, their values undefined."""
+        if self._buffer.size < size:
+            self._buffer = None  # freed before its successor is allocated
+            self._buffer = np.empty(size, dtype=np.complex128)
+        return self._buffer[:size]
+
+
+@functools.cache
+def _later_shots(width: int) -> np.ndarray:
+    """``(width, width)`` complex mask, 1 where column c is a later shot
+    than row a of the same block (``c > a``), else 0."""
+    mask = np.triu(np.ones((width, width), dtype=np.complex128), 1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables: np.ndarray) -> complex:
+    """The kernel summed over the pairs ``i < j`` of ``range(n)``, by
+    closing columns and BLAS dots.
+
+    Column g's closing columns ``tables[g][:, codes[j, g]]`` hold, for
+    every code u a first shot may have, the value of the pair at later
+    shot j; a pair's factor is row ``codes[i, g]`` of them.  For each
+    block of ``_SUM_COLUMNS`` later shots, every column gathers those
+    rows for all first indices before the block's end into the pairs'
+    :class:`Scratch` (``mode="clip"`` writes straight into it; the codes
+    are in range), the columns but the last multiply left to right, the
+    first indices inside the block keep only their later shots, and one
+    dot with the last column sums the block.
+    """
+    n, width = pairs.n, _SUM_COLUMNS
+    columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
+    later = _later_shots(width)
+    # Room for every block of a record of up to n rounded up to whole
+    # blocks, so that the buffer grows once per block of record length.
+    scratch = pairs.scratch.entries(len(columns) * -(-n // width) * width * width)
+    total = 0.0 + 0.0j
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        rows = scratch[: len(columns) * hi * (hi - lo)].reshape(len(columns), hi, hi - lo)
+        for g, column in enumerate(columns):
+            closing = tables[g].take(column[lo:hi], axis=1)
+            closing.take(column[:hi], axis=0, out=rows[g], mode="clip")
+        product, last = rows[0], rows[-1]
+        for g in range(1, len(columns) - 1):
+            product *= rows[g]
+        last[lo:] *= later[: hi - lo, : hi - lo]
+        total += product.ravel() @ last.ravel() if len(columns) > 1 else last.sum()
+    return total
+
+
+def pairs_sum_exactly(n_qubits: int, shots: int) -> bool:
+    """Whether the pairs of ``shots`` earlier shots that an order-3 shot
+    of ``n_qubits`` qubits closes sum exactly in any order, over grouped
+    code columns (``n_qubits`` at most ``GROUPED_EXACT_QUBITS[3]``).
+
+    Every pair value is ``8**-N`` times a Gaussian integer of modulus at
+    most ``CHAIN_NUMERATORS[3]**N``, so while ``C(shots, 2)`` times that
+    stays within ``2**53`` no partial sum rounds, and any summation order
+    gives the same bits: up to 320 279 earlier shots at N = 3, 42 799
+    at N = 4, 5 719 at N = 5, 764 at N = 6, 102 at N = 7, 14 at N = 8
+    and 2 at N = 9.
+    """
+    return (
+        n_qubits <= GROUPED_EXACT_QUBITS[3]
+        and math.comb(shots, 2) * CHAIN_NUMERATORS[3] ** n_qubits <= 2**53
+    )
+
+
 def group_width(order: int, n_qubits: int) -> int:
     """Qubits per group of :func:`closing_tables` for ``order``-tuples.
 
-    The widest ``g`` with ``g * (order - 1) <= 4``, so that a group table
-    holds at most ``6**4`` entries: 4 at order 2, 2 at order 3, 1 from
-    order 4.  A grouped product ``(t_0 t_1)(t_2 t_3)`` equals the
-    left-to-right ``((t_0 t_1) t_2) t_3`` only while no partial product
-    rounds, so past :data:`GROUPED_EXACT_QUBITS` the width is 1.
+    The widest ``g <= 2`` with ``g * (order - 1) <= 4``: 2 at orders 2 and
+    3, 1 from order 4, so a group table holds at most ``6**4`` entries
+    (36 per group at order 2, where wider groups would build more table
+    entries per shot than a short record has earlier shots to look up,
+    and 1296 at order 3).  Orders 2 and 3 share one set of group codes.  A
+    grouped product ``(t_0 t_1)(t_2 t_3)`` equals the left-to-right
+    ``((t_0 t_1) t_2) t_3`` only while no partial product rounds, so past
+    :data:`GROUPED_EXACT_QUBITS` the width is 1.
     """
     if order < 2 or order > CHAIN_TABLE_MAX or n_qubits > GROUPED_EXACT_QUBITS[order]:
         return 1
-    return max(1, min(4 // (order - 1), n_qubits))
+    return max(1, min(2, 4 // (order - 1), n_qubits))
 
 
 def group_codes(codes: np.ndarray, width: int) -> np.ndarray:
@@ -466,6 +566,21 @@ class PairBlock:
     def __len__(self) -> int:
         rows = self.last - self.first + 1
         return rows * (self.n - 1) - rows * (self.first + self.last) // 2
+
+
+@dataclass(frozen=True)
+class PairSum:
+    """Every pair ``(i, j)`` of ``range(n)`` with ``i < j``, to be summed:
+    :func:`batch_code_traces` evaluates it to a one-element array holding
+    the sum of the pairs' values, working in ``scratch`` (a caller that
+    sums pairs again and again passes the same one).  ``len`` is its pair
+    count."""
+
+    n: int
+    scratch: Scratch = field(default_factory=Scratch, compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) // 2
 
 
 def pair_blocks(n: int, rows: int = 1 << 16) -> Iterator[PairBlock]:

@@ -107,15 +107,15 @@ def inverse_channel_factor(axis: int, bit: int) -> np.ndarray:
 
 
 def _coerce_fields(values, what: str, upper: int) -> np.ndarray:
+    """One shot's ``what`` (axes or bits) as a new one-dimensional ``uint8``
+    array, by the rule of :func:`_block_field`; axes may also be a string
+    of axis letters."""
     arr = np.asarray(values)
     if arr.dtype.kind == "U" and what == "axes":
-        arr = np.array([AXIS_CHARS.index(c) for c in "".join(arr.tolist())])
-    arr = arr.astype(np.uint8)
+        arr = np.array([AXIS_CHARS.index(c) for c in "".join(arr.tolist())], dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and int(arr.max(initial=0)) >= upper:
-        raise ValueError(f"{what} entries must be < {upper}")
-    return arr
+    return _block_field(arr, f"{what} entries must be integers 0 to {upper - 1}", upper, copy=True)
 
 
 def _coerce_block(axes, bits, n_qubits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -137,22 +137,26 @@ def _coerce_block(axes, bits, n_qubits: int | None = None) -> tuple[np.ndarray, 
     )
 
 
-def _block_field(values: np.ndarray, message: str, upper: int) -> np.ndarray:
-    """``values`` as ``uint8`` if they are integers in ``[0, upper)``."""
+def _block_field(values: np.ndarray, message: str, upper: int, copy: bool = False) -> np.ndarray:
+    """``values`` as ``uint8`` if they are integers (or bools) in ``[0,
+    upper)``, checked before the cast so that none wraps round into range;
+    ``ValueError(message)`` otherwise."""
     if values.size and (
         values.dtype.kind not in "biu"
         or (values.dtype.kind == "i" and int(values.min()) < 0)
         or int(values.max()) >= upper
     ):
         raise ValueError(message)
-    return values.astype(np.uint8, copy=False)
+    return values.astype(np.uint8, copy=copy)
 
 
 class Snapshot:
     """One shot's classical data: a basis axis and an outcome bit per qubit.
 
     Axes may be given as integer codes or as a string like ``"XZY"``.
-    Instances are immutable.
+    Integer (or bool) axes 0 to 2 and bits 0 or 1 are accepted, checked
+    before they are stored as ``uint8``, as :func:`_coerce_block` checks a
+    block; anything else raises ``ValueError``.  Instances are immutable.
     """
 
     __slots__ = ("axes", "bits")

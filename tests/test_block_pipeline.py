@@ -34,7 +34,7 @@ from shadowstream import (
     stream_shadows,
     werner_state,
 )
-from shadowstream.kernel import _PAIR_ROWS, group_width, pair_blocks
+from shadowstream.kernel import _PAIR_ROWS, group_width, pair_blocks, pairs_sum_exactly
 from shadowstream.runner import (
     _build_state,
     _observe,
@@ -223,9 +223,18 @@ class TestRecordTrajectory:
 
     def test_spans_across_row_blocks(self):
         # From 363 earlier shots on, the pairs of the past fill several pair
-        # blocks, each cut into many ``_PAIR_ROWS`` row blocks.
+        # blocks, each cut into many ``_PAIR_ROWS`` row blocks.  At N = 4
+        # they are all summed exactly, over ten column blocks at the end.
         assert len(list(pair_blocks(610))) == 3
         assert 610 > 4 * _PAIR_ROWS
+        self.assert_blocks_match(4, (2, 3), 620, seed=6)
+
+    @pytest.mark.parametrize("width", [7, 100])
+    def test_column_blocks_of_any_width(self, monkeypatch, width):
+        # The record above, its closing pairs summed over column blocks of
+        # other widths.
+        assert pairs_sum_exactly(4, 619)
+        monkeypatch.setattr(shadowstream.kernel, "_SUM_COLUMNS", width)
         self.assert_blocks_match(4, (2, 3), 620, seed=6)
 
     @pytest.mark.parametrize("strategy", ["ustat", "batched", "online-norecon"])

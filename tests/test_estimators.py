@@ -40,6 +40,7 @@ from shadowstream.kernel import (
     closing_tables,
     factors_from_codes,
     group_width,
+    pairs_sum_exactly,
     pt_flip,
     snapshot_codes,
     subset_index_chunks,
@@ -273,6 +274,32 @@ class TestClosingShotFold:
         # from 34 earlier shots on, a span covers several row blocks.
         assert group_width(3, 8) == 2
         self.assert_fresh_sums_match(8, 3, 70, seed=8)
+
+    @pytest.mark.parametrize("n, shots, bound", [(7, 106, 102), (6, 767, 764)])
+    def test_summed_pairs_meet_the_value_path(self, monkeypatch, n, shots, bound):
+        # Up to ``bound`` earlier shots the closing pairs are summed by dots
+        # over closing columns, past it value by value; both give the bytes
+        # of the closed-tuple evaluation.
+        assert pairs_sum_exactly(n, bound) and not pairs_sum_exactly(n, bound + 1)
+        seen = {}
+        evaluate = shadowstream.estimators.batch_code_traces
+
+        def spy(codes, indices, tables=None):
+            seen.setdefault(type(indices).__name__, set()).add(len(codes))
+            return evaluate(codes, indices, tables)
+
+        monkeypatch.setattr(shadowstream.estimators, "batch_code_traces", spy)
+        self.assert_fresh_sums_match(n, 3, shots, seed=n, checked=set(range(bound - 2, shots)))
+        assert seen["PairSum"] == set(range(2, bound + 1))
+        assert seen["PairBlock"] == set(range(bound + 1, shots))
+
+    @pytest.mark.parametrize("width", [1, 7, 100])
+    def test_column_blocks_of_any_width(self, monkeypatch, width):
+        # The record of test_across_a_subset_block_boundary, its pairs
+        # summed over column blocks of other widths.
+        monkeypatch.setattr(shadowstream.kernel, "_SUM_COLUMNS", width)
+        checked = {6, 7, 8, 99, 100, 101, 361, 362, 363, 364, 365}
+        self.assert_fresh_sums_match(4, 3, 366, seed=5, checked=checked)
 
     def test_orders_past_the_tables(self):
         # Order 7 has no chain table; the new shot's 2x2 factors close

@@ -1,10 +1,12 @@
 """The multi-shot trace kernel and its three evaluation paths."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import shadowstream.kernel
 from shadowstream import (
     Snapshot,
     UnsupportedOrderError,
@@ -17,6 +19,7 @@ from shadowstream.kernel import (
     CHAIN_NUMERATORS,
     CHAIN_TABLE_MAX,
     GROUPED_EXACT_QUBITS,
+    PairSum,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -25,6 +28,7 @@ from shadowstream.kernel import (
     group_codes,
     group_width,
     pair_blocks,
+    pairs_sum_exactly,
     snapshot_codes,
     subset_index_chunks,
     transposed_factors,
@@ -235,7 +239,7 @@ class TestClosingTables:
     def test_group_widths(self):
         assert GROUPED_EXACT_QUBITS == {1: 53, 2: 12, 3: 9, 4: 6, 5: 5, 6: 4}
         widths = {(m, n): group_width(m, n) for m in range(1, 8) for n in (1, 2, 4, 9, 10, 12, 13)}
-        assert [widths[2, n] for n in (1, 2, 4, 9, 10, 12, 13)] == [1, 2, 4, 4, 4, 4, 1]
+        assert [widths[2, n] for n in (1, 2, 4, 9, 10, 12, 13)] == [1, 2, 2, 2, 2, 2, 1]
         assert [widths[3, n] for n in (1, 2, 4, 9, 10, 12, 13)] == [1, 2, 2, 2, 1, 1, 1]
         assert {w for (m, _), w in widths.items() if m not in (2, 3)} == {1}
 
@@ -351,3 +355,52 @@ class TestPairBlocks:
             assert (span.first, span.last, span.n) == (chunk[0, 0], chunk[-1, 0], n)
             got = batch_code_traces(codes, span, tables)
             assert got.tobytes() == batch_code_traces(codes, chunk, tables).tobytes()
+
+
+class TestPairSums:
+    """A :class:`PairSum` evaluates to the sum of the pair values that the
+    ``pair_blocks`` spans of the same pairs give, byte for byte, wherever
+    ``pairs_sum_exactly`` holds."""
+
+    # The last earlier-shot count whose pairs sum exactly, per qubit count.
+    EXACT_TO = {4: 42_799, 5: 5_719, 6: 764, 7: 102, 8: 14, 9: 2}
+
+    @pytest.mark.parametrize("n", sorted(EXACT_TO))
+    def test_exactness_bound_at_its_edges(self, n):
+        t = self.EXACT_TO[n]
+        assert pairs_sum_exactly(n, t) and not pairs_sum_exactly(n, t + 1)
+        top = CHAIN_NUMERATORS[3] ** n
+        assert math.comb(t, 2) * top <= 2**53 < math.comb(t + 1, 2) * top
+
+    def test_exactness_bound_outside_the_grouped_columns(self):
+        # Past 9 qubits the columns are six-valued per qubit and the value
+        # path runs whatever the record length.
+        assert [pairs_sum_exactly(n, 320_279) for n in (1, 2, 3)] == [True] * 3
+        assert not any(pairs_sum_exactly(n, t) for n in (10, 13) for t in (0, 2, 50))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 401])
+    def test_len_counts_the_pairs(self, n):
+        assert len(PairSum(n)) == math.comb(n, 2)
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "qubits, n",
+        [
+            (qubits, n)
+            for qubits in (1, 2, 4, 6, 8)
+            for n in (0, 1, 2, 14, 63, 64, 65, 129, 200)
+            if pairs_sum_exactly(qubits, n)
+        ],
+    )
+    def test_sum_equals_the_span_values(self, monkeypatch, qubits, n, width):
+        monkeypatch.setattr(shadowstream.kernel, "_SUM_COLUMNS", width)
+        rng = np.random.default_rng(1000 * n + 10 * width + qubits)
+        g = group_width(3, qubits)
+        codes = group_codes(rng.integers(0, 6, (n, qubits)).astype(np.uint8), g)
+        tables = closing_tables(3, rng.integers(0, 6, qubits).astype(np.uint8), g)
+        want = 0.0 + 0.0j
+        for span in pair_blocks(n, rows=97):
+            want += batch_code_traces(codes, span, tables).sum()
+        got = batch_code_traces(codes, PairSum(n), tables)
+        assert got.shape == (1,) and got.dtype == np.complex128
+        assert np.complex128(0j + got.sum()).tobytes() == np.complex128(want).tobytes()

@@ -151,6 +151,37 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             Snapshot([0, 1], [0])
 
+    @pytest.mark.parametrize(
+        "axes, bits",
+        [
+            ([256, 1], [0, 1]),
+            ([0, 1], [0, 257]),
+            ([-1, 0], [0, 0]),
+            ([0, 0], [0, -1]),
+            ([1.9, 0], [0, 0]),
+            ([0, 0], [0.5, 1]),
+            ([[0, 1]], [[0, 1]]),
+            ([None, 1], [0, 1]),
+        ],
+    )
+    def test_values_are_checked_before_the_cast(self, axes, bits):
+        # A cast to uint8 first would wrap 256 and -1 round into range
+        # and truncate 1.9 to 1.
+        with pytest.raises(ValueError):
+            Snapshot(axes, bits)
+
+    def test_integer_and_bool_input(self):
+        axes = np.array([2, 0, 1], dtype=np.int64)
+        bits = np.array([True, False, True])
+        snap = Snapshot(axes, bits)
+        assert snap.axes.dtype == snap.bits.dtype == np.uint8
+        assert snap.axes.tolist() == [2, 0, 1] and snap.bits.tolist() == [1, 0, 1]
+        # uint8 input is copied, so the snapshot stays immutable.
+        codes = np.array([1, 1], dtype=np.uint8)
+        snap = Snapshot(codes, codes)
+        codes[0] = 0
+        assert snap.axes.tolist() == snap.bits.tolist() == [1, 1]
+
     def test_matrix_is_kron_of_factors(self):
         snap = Snapshot("ZY", [1, 0])
         expected = np.kron(FACTORS[AXIS_Z, 1], FACTORS[AXIS_Y, 0])
