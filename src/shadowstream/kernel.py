@@ -24,19 +24,15 @@ in that shot.  It folds the shot's codes into the chain tables once
 (:func:`closing_tables`) and looks up only the earlier members; runs of
 qubits share one lookup through combined codes (:func:`group_codes`)
 wherever no product of table values can round (:func:`group_width`).
-Pairs (those of the past that an order-3 shot closes, and the order-2
-U-statistic's) are evaluated without an index array or a lookup key.
-Where only their sum is needed and every partial sum is exact
-(:func:`pairs_sum_exactly`), a :class:`PairSum` asks
-:func:`batch_code_traces` for that sum: each code column's closing
-columns (its table at the later shots' codes) are gathered at the first
-shots' codes, a column block of later shots at a time, and one BLAS dot
-sums the block.  Elsewhere :func:`pair_blocks` describes the blocks of
-:func:`subset_index_chunks` as :class:`PairBlock` spans of first
-indices, and :func:`batch_code_traces` gathers, for ``_PAIR_ROWS`` first
-indices at a time, their table rows and then the later shots' columns of
-those rows.  The product of the column grids, read along its upper
-triangle, is the same values in the same order.
+A set of pairs (those of the past that an order-3 shot closes, and the
+order-2 U-statistic's) takes one of two routes.  Where only its sum is
+needed and every partial sum is exact (:func:`pairs_sum_exactly`), a
+:class:`PairSum` asks :func:`batch_code_traces` for that sum: each code
+column's closing columns (its table at the later shots' codes) are
+gathered at the first shots' codes, a column block of later shots at a
+time, and one BLAS dot sums the block.  Elsewhere the pairs come as the
+index blocks of :func:`subset_index_chunks`, whose lookup keys give
+every value in lexicographic order, the reference bits.
 
 A dense evaluation builds every reconstruction and multiplies full
 matrices; it is the one independent cross-check of the direct path.
@@ -72,8 +68,6 @@ __all__ = [
     "group_codes",
     "closing_tables",
     "subset_index_chunks",
-    "PairBlock",
-    "pair_blocks",
     "PairSum",
     "Scratch",
     "pairs_sum_exactly",
@@ -87,10 +81,6 @@ _CHUNK_SLOTS = 1 << 20
 # Tuples per block of a table-lookup evaluation; each value is computed
 # on its own, so the block size bounds temporaries and nothing else.
 _CODE_ROWS = 1 << 13
-
-# First indices per block of a pair evaluation; its grid temporaries are
-# this many rows by the record length.
-_PAIR_ROWS = 32
 
 # Later shots per column block of a summed pair evaluation; its row
 # gathers are this many columns by the record length.
@@ -195,7 +185,7 @@ def chain_trace_table(length: int) -> np.ndarray:
 
 
 def batch_code_traces(
-    codes: np.ndarray, indices: np.ndarray | PairBlock | PairSum, tables: np.ndarray | None = None
+    codes: np.ndarray, indices: np.ndarray | PairSum, tables: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the trace kernel for many index tuples via table lookup.
 
@@ -204,11 +194,10 @@ def batch_code_traces(
     position: row ``(i_1, ..., i_k)`` evaluates to the product over
     columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
     codes[i_k, g]]``.  ``indices`` is a ``(K, k)`` index array or a
-    :class:`PairBlock`, which evaluates to the same values as the pair
-    array it spans, or a :class:`PairSum`, which evaluates to a
-    one-element array: the sum of the values of all its pairs, taken in
-    whatever order :func:`_sum_pairs` takes it (so equal to a sum in
-    lexicographic order only where :func:`pairs_sum_exactly` holds).
+    :class:`PairSum`, which evaluates to a one-element array: the sum of
+    the values of all its pairs, taken in whatever order
+    :func:`_sum_pairs` takes it (so equal to a sum in lexicographic order
+    only where :func:`pairs_sum_exactly` holds).
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -221,8 +210,7 @@ def batch_code_traces(
     product rounds, multiply elementwise.
     """
     codes = np.asarray(codes)
-    pairs = isinstance(indices, (PairBlock, PairSum))
-    if pairs:
+    if isinstance(indices, PairSum):
         count, k = len(indices), 2
     else:
         indices = np.asarray(indices, dtype=np.int64)
@@ -245,9 +233,6 @@ def batch_code_traces(
         return np.array([_sum_pairs(codes, indices, tables)])
     per_qubit = groups > 1 and base <= 6
     out = np.empty(count, dtype=np.complex128)
-    if pairs:
-        _fill_pairs(out, codes, indices, tables, per_qubit)
-        return out
     flat = tables.reshape(groups, -1)
     values, at = None, 0
     for size, keys in _index_keys(codes, indices, base):
@@ -283,47 +268,6 @@ def _index_keys(codes: np.ndarray, indices: np.ndarray, base: int):
                 key += scaled[j][g].take(chunk[:, j])
             keys.append(key)
         yield len(chunk), keys
-
-
-def _fill_pairs(
-    out: np.ndarray, codes: np.ndarray, pairs: PairBlock, tables: np.ndarray, per_qubit: bool
-) -> None:
-    """Write the values of a :class:`PairBlock` into ``out``, ``_PAIR_ROWS``
-    first indices at a time, with no index array and no lookup key.
-
-    For first indices ``i`` and every later shot ``j``, column g's values
-    form the grid ``tables[g, codes[i, g], codes[j, g]]``: the table rows
-    of the first codes, then the columns of the later codes.  Its upper
-    triangle ``j > i``, read row by row, is the lexicographic order of the
-    pairs, so one mask selects the product of the grids (or, six-valued
-    per qubit, each grid before ``.prod(axis=1)``).
-    """
-    first, last, n = pairs.first, pairs.last, pairs.n
-    columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
-    # Row a of a block pairs with later column b when b >= a, whatever the block.
-    triangle = np.arange(n - 1 - first) >= np.arange(_PAIR_ROWS)[:, None]
-    values, at = None, 0
-    for lo in range(first, last + 1, _PAIR_ROWS):
-        rows, width = min(_PAIR_ROWS, last + 1 - lo), n - 1 - lo
-        upper = triangle[:rows, :width]
-        size = rows * width - rows * (rows - 1) // 2
-        if per_qubit and (values is None or len(values) < size):
-            values = np.empty((size, len(columns)), dtype=np.complex128)
-        product = None
-        for g, column in enumerate(columns):
-            grid = tables[g].take(column[lo : lo + rows], axis=0).take(column[lo + 1 :], axis=1)
-            if per_qubit:
-                values[:size, g] = grid[upper]
-            elif product is None:
-                product = grid
-            else:
-                product *= grid
-        block = out[at : at + size]
-        if per_qubit:
-            values[:size].prod(axis=1, out=block)
-        else:
-            block[:] = product[upper]
-        at += size
 
 
 class Scratch:
@@ -386,21 +330,22 @@ def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables: np.ndarray) -> complex
     return total
 
 
-def pairs_sum_exactly(n_qubits: int, shots: int) -> bool:
-    """Whether the pairs of ``shots`` earlier shots that an order-3 shot
-    of ``n_qubits`` qubits closes sum exactly in any order, over grouped
-    code columns (``n_qubits`` at most ``GROUPED_EXACT_QUBITS[3]``).
-
-    Every pair value is ``8**-N`` times a Gaussian integer of modulus at
-    most ``CHAIN_NUMERATORS[3]**N``, so while ``C(shots, 2)`` times that
-    stays within ``2**53`` no partial sum rounds, and any summation order
-    gives the same bits: up to 320 279 earlier shots at N = 3, 42 799
-    at N = 4, 5 719 at N = 5, 764 at N = 6, 102 at N = 7, 14 at N = 8
-    and 2 at N = 9.
+def pairs_sum_exactly(order: int, n_qubits: int, shots: int) -> bool:
+    """Whether the values of the pairs of ``shots`` shots, each a product
+    over ``n_qubits`` qubits of traces of ``order``-chains, sum exactly in
+    any order: an order-2 U-statistic's pairs (``order`` 2) or the pairs
+    of the past that an order-3 shot closes (``order`` 3).  Such a pair
+    value is ``2**(-order * N)`` times a Gaussian integer of modulus at
+    most ``CHAIN_NUMERATORS[order]**N``, so while ``C(shots, 2)`` times
+    that stays within ``2**53`` no partial sum rounds, and any summation
+    order gives the same bits.  At order 2 that is up to 335 544 shots at
+    N = 4, 839 at N = 8, 188 at N = 9, 42 at N = 10 and never past
+    N = 12; at order 3 up to 42 799 earlier shots at N = 4, 764 at N = 6,
+    102 at N = 7, 14 at N = 8, 2 at N = 9 and never past N = 9.
     """
     return (
-        n_qubits <= GROUPED_EXACT_QUBITS[3]
-        and math.comb(shots, 2) * CHAIN_NUMERATORS[3] ** n_qubits <= 2**53
+        n_qubits <= GROUPED_EXACT_QUBITS[order]
+        and math.comb(shots, 2) * CHAIN_NUMERATORS[order] ** n_qubits <= 2**53
     )
 
 
@@ -553,22 +498,6 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
 
 
 @dataclass(frozen=True)
-class PairBlock:
-    """The pairs ``(i, j)`` of ``range(n)`` with ``first <= i <= last``
-    and ``i < j``, in lexicographic order: a block of
-    ``subset_index_chunks(n, 2)`` as a span of first indices, with no
-    index array.  ``len`` is its pair count."""
-
-    first: int
-    last: int
-    n: int
-
-    def __len__(self) -> int:
-        rows = self.last - self.first + 1
-        return rows * (self.n - 1) - rows * (self.first + self.last) // 2
-
-
-@dataclass(frozen=True)
 class PairSum:
     """Every pair ``(i, j)`` of ``range(n)`` with ``i < j``, to be summed:
     :func:`batch_code_traces` evaluates it to a one-element array holding
@@ -581,15 +510,6 @@ class PairSum:
 
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2
-
-
-def pair_blocks(n: int, rows: int = 1 << 16) -> Iterator[PairBlock]:
-    """The blocks of ``subset_index_chunks(n, 2, rows)``, cut at the same
-    pairs, as :class:`PairBlock` spans.  ``rows`` below 1 raises
-    ``ValueError``."""
-    _check_rows(rows)
-    for first, last, _ in _pair_spans(n, rows):
-        yield PairBlock(first, last, n)
 
 
 def _check_rows(rows: int) -> None:

@@ -763,9 +763,11 @@ def load_result(path) -> dict:
     """Read a result document written by :func:`export_json`.
 
     Raises ``ValueError`` unless the document has this format and version,
-    a valid config, and traces with every key, whose moment and ESP columns
-    cover the config's orders, hold numbers or nulls, and each have one
-    value per checkpoint shot.
+    a valid config, and traces with every key: integer ``run`` and
+    ``run_seed``, an integer or null ``stop_shot``, one of the config's
+    strategies, its orders, a ``stopped_at`` integer or null for each of
+    them, and moment and ESP columns that cover the config's orders, hold
+    numbers or nulls, and each have one value per checkpoint shot.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -784,8 +786,18 @@ def load_result(path) -> dict:
         shots = trace["shots"]
         if not isinstance(shots, list) or any(type(s) is not int for s in shots):
             raise ValueError(f"{path}: trace {i} shots must be a list of integers")
-        if not isinstance(trace["stopped_at"], dict):
-            raise ValueError(f"{path}: trace {i} stopped_at must be an object")
+        for key, null in (("run", ""), ("run_seed", ""), ("stop_shot", " or null")):
+            if type(trace[key]) is not int and not (null and trace[key] is None):
+                raise ValueError(f"{path}: trace {i} {key} must be an integer{null}")
+        if trace["strategy"] not in config.strategies:
+            raise ValueError(f"{path}: trace {i} strategy must be one of {config.strategies}")
+        orders, stopped_at = list(config.orders), trace["stopped_at"]
+        if trace["orders"] != orders:
+            raise ValueError(f"{path}: trace {i} orders must be {orders}")
+        if not isinstance(stopped_at, dict) or set(stopped_at) != set(map(str, orders)) or any(
+            s is not None and type(s) is not int for s in stopped_at.values()
+        ):
+            raise ValueError(f"{path}: trace {i} stopped_at must map {orders} to integers or nulls")
         for group, keys in (("moments", config.orders), ("esps", config.esp_orders())):
             columns = trace[group]
             if not isinstance(columns, dict) or set(columns) != {str(k) for k in keys}:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -489,18 +489,6 @@ class ShadowRecord:
         rec._axes = axes.copy()
         rec._bits = bits.copy()
         rec._len = axes.shape[0]
-        return rec
-
-    @classmethod
-    def from_snapshots(
-        cls, snapshots: Sequence[Snapshot], seed: int | None = None, descriptor: str = ""
-    ) -> "ShadowRecord":
-        snapshots = list(snapshots)
-        if not snapshots:
-            raise ValueError("cannot infer the qubit count of an empty record")
-        rec = cls(snapshots[0].n_qubits, seed=seed, descriptor=descriptor)
-        for s in snapshots:
-            rec.append(s)
         return rec
 
     @property

@@ -34,7 +34,7 @@ from shadowstream import (
     stream_shadows,
     werner_state,
 )
-from shadowstream.kernel import _PAIR_ROWS, group_width, pair_blocks, pairs_sum_exactly
+from shadowstream.kernel import group_width, pairs_sum_exactly, subset_index_chunks
 from shadowstream.runner import (
     _build_state,
     _observe,
@@ -217,23 +217,24 @@ class TestRecordTrajectory:
         self.assert_blocks_match(n, orders, count, seed=10 * n + orders[0])
 
     def test_per_qubit_pair_spans(self):
-        # Past 9 qubits order 3 looks pairs up qubit by qubit (``.prod``).
-        assert group_width(3, 10) == 1
+        # Past 9 qubits order 3 looks pairs up qubit by qubit (``.prod``),
+        # from index blocks.
+        assert group_width(3, 10) == 1 and not pairs_sum_exactly(3, 10, 2)
         self.assert_blocks_match(10, (3,), 80, seed=4, sizes=(80,))
 
     def test_spans_across_row_blocks(self):
-        # From 363 earlier shots on, the pairs of the past fill several pair
-        # blocks, each cut into many ``_PAIR_ROWS`` row blocks.  At N = 4
-        # they are all summed exactly, over ten column blocks at the end.
-        assert len(list(pair_blocks(610))) == 3
-        assert 610 > 4 * _PAIR_ROWS
+        # From 363 earlier shots on, the pairs of the past would fill
+        # several index blocks.  At N = 4 they are all summed exactly, over
+        # ten column blocks at the end.
+        assert len(list(subset_index_chunks(610, 2))) == 3
+        assert pairs_sum_exactly(3, 4, 619)
         self.assert_blocks_match(4, (2, 3), 620, seed=6)
 
     @pytest.mark.parametrize("width", [7, 100])
     def test_column_blocks_of_any_width(self, monkeypatch, width):
         # The record above, its closing pairs summed over column blocks of
         # other widths.
-        assert pairs_sum_exactly(4, 619)
+        assert pairs_sum_exactly(3, 4, 619)
         monkeypatch.setattr(shadowstream.kernel, "_SUM_COLUMNS", width)
         self.assert_blocks_match(4, (2, 3), 620, seed=6)
 

@@ -90,6 +90,34 @@ class TestOfflineUstat:
         with pytest.raises(ValueError):
             ustat_offline(record, 0, PART)
 
+    @pytest.mark.parametrize(
+        "n, shots", [(8, 838), (8, 839), (8, 840), (10, 41), (10, 42), (10, 43)]
+    )
+    def test_order_two_bytes_on_both_sides_of_the_bound(self, monkeypatch, n, shots):
+        # Up to the bound the pairs are summed by dots, past it value by
+        # value from index blocks; both give the bytes of the index blocks'
+        # sum in lexicographic order.
+        record = random_record(n, shots, seed=n + shots)
+        part = tuple(range(0, n, 2))
+        codes = snapshot_codes(record.axes, record.bits, part)
+        tables = np.broadcast_to(chain_trace_table(2).reshape(6, 6), (n, 6, 6))
+        total = 0.0 + 0.0j
+        for chunk in subset_index_chunks(shots, 2):
+            total += batch_code_traces(codes, chunk, tables).sum()
+        want = np.complex128(total / math.comb(shots, 2))
+        seen = set()
+        evaluate = shadowstream.estimators.batch_code_traces
+
+        def spy(codes, indices, tables=None):
+            seen.add(type(indices).__name__)
+            return evaluate(codes, indices, tables)
+
+        monkeypatch.setattr(shadowstream.estimators, "batch_code_traces", spy)
+        got = ustat_offline(record, 2, part)
+        assert seen == ({"PairSum"} if pairs_sum_exactly(2, n, shots) else {"ndarray"})
+        assert np.float64(got.value).tobytes() == want.real.tobytes()
+        assert np.float64(got.imag_magnitude).tobytes() == abs(want.imag).tobytes()
+
 
 class TestPlugin:
     def test_order_one_pinned(self, record):
@@ -271,16 +299,17 @@ class TestClosingShotFold:
 
     def test_pair_spans_at_eight_qubits(self):
         # Order 3 at N = 8 closes pairs of the past over 2-qubit groups;
-        # from 34 earlier shots on, a span covers several row blocks.
+        # from 15 earlier shots on, they come as index blocks.
         assert group_width(3, 8) == 2
+        assert pairs_sum_exactly(3, 8, 14) and not pairs_sum_exactly(3, 8, 15)
         self.assert_fresh_sums_match(8, 3, 70, seed=8)
 
     @pytest.mark.parametrize("n, shots, bound", [(7, 106, 102), (6, 767, 764)])
     def test_summed_pairs_meet_the_value_path(self, monkeypatch, n, shots, bound):
         # Up to ``bound`` earlier shots the closing pairs are summed by dots
-        # over closing columns, past it value by value; both give the bytes
-        # of the closed-tuple evaluation.
-        assert pairs_sum_exactly(n, bound) and not pairs_sum_exactly(n, bound + 1)
+        # over closing columns, past it value by value from index blocks;
+        # both give the bytes of the closed-tuple evaluation.
+        assert pairs_sum_exactly(3, n, bound) and not pairs_sum_exactly(3, n, bound + 1)
         seen = {}
         evaluate = shadowstream.estimators.batch_code_traces
 
@@ -291,7 +320,7 @@ class TestClosingShotFold:
         monkeypatch.setattr(shadowstream.estimators, "batch_code_traces", spy)
         self.assert_fresh_sums_match(n, 3, shots, seed=n, checked=set(range(bound - 2, shots)))
         assert seen["PairSum"] == set(range(2, bound + 1))
-        assert seen["PairBlock"] == set(range(bound + 1, shots))
+        assert seen["ndarray"] == set(range(bound + 1, shots))
 
     @pytest.mark.parametrize("width", [1, 7, 100])
     def test_column_blocks_of_any_width(self, monkeypatch, width):
@@ -714,9 +743,14 @@ class TestCheckpointDecoding:
         with pytest.raises(TypeError, match="cannot checkpoint _RecordSums"):
             _pack_state(_RecordSums((0,), ShadowRecord(2), {2: 0j}))
 
-    def test_zero_qubit_accumulators_round_trip(self):
-        blob = _pack_state(AccumulatorSet(2, (), 0))
-        assert _pack_state(_unpack_state(blob)) == blob
+    def test_zero_qubit_accumulators_are_rejected(self):
+        # Kind 2, order 2, N = 0, no shots, an empty part list and one 1x1
+        # matrix per order: an accumulator that no snapshot could update.
+        head = shadowstream.estimators._STATE_HEADER.pack(b"SSES", 1, 2, 2, 0, 0)
+        with pytest.raises(ValueError, match="qubit"):
+            _unpack_state(head + bytes(2) + bytes(32))
+        with pytest.raises(ValueError, match="qubit"):
+            AccumulatorSet(2, (), 0)
 
     def test_rejects_a_part_list_that_is_not_strictly_increasing(self):
         blob = bytearray(_pack_state(OnlineRecordEstimator(2, (0, 2), 3)))

@@ -226,6 +226,19 @@ class TestLoadResult:
         (set_key(["traces", 3, "esps", "2"], [True] * 20), r"esps\[2\] must list numbers"),
         (set_key(["traces", 1, "moments", "3"], [0.5] * 19), r"moments\[3\] has 19 values"),
         (set_key(["traces", 1, "esps", "2"], [0.5] * 21), r"esps\[2\] has 21 values"),
+        (set_key(["traces", 0, "run"], "x"), "trace 0 run must be an integer"),
+        (set_key(["traces", 0, "run"], True), "trace 0 run must be an integer"),
+        (set_key(["traces", 1, "run_seed"], [1]), "trace 1 run_seed must be an integer"),
+        (set_key(["traces", 2, "stop_shot"], "x"), "trace 2 stop_shot must be an integer or null"),
+        (set_key(["traces", 2, "stop_shot"], 2.0), "trace 2 stop_shot must be an integer or null"),
+        (set_key(["traces", 3, "strategy"], "nope"), "trace 3 strategy must be one of"),
+        (set_key(["traces", 3, "strategy"], ["plugin"]), "trace 3 strategy must be one of"),
+        (set_key(["traces", 0, "orders"], [7]), r"trace 0 orders must be \[2, 3\]"),
+        (set_key(["traces", 0, "orders"], [3, 2]), r"trace 0 orders must be \[2, 3\]"),
+        (set_key(["traces", 1, "stopped_at", "2"], "x"), "trace 1 stopped_at must map"),
+        (set_key(["traces", 1, "stopped_at", "2"], 1.5), "trace 1 stopped_at must map"),
+        (set_key(["traces", 1, "stopped_at", "7"], None), "trace 1 stopped_at must map"),
+        (set_key(["traces", 1, "stopped_at", "3"], KeyError), "trace 1 stopped_at must map"),
     ])
     def test_malformed_documents_raise_value_error(self, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):

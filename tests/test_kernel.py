@@ -27,7 +27,6 @@ from shadowstream.kernel import (
     factors_from_codes,
     group_codes,
     group_width,
-    pair_blocks,
     pairs_sum_exactly,
     snapshot_codes,
     subset_index_chunks,
@@ -317,13 +316,15 @@ class TestSubsetEnumeration:
     @pytest.mark.parametrize("rows", [0, -1])
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_pair_blocks_reject_rows_below_one(self, n, rows):
+        # Also where there is no pair to cut into blocks.
         with pytest.raises(ValueError, match="rows"):
-            list(pair_blocks(n, rows=rows))
+            list(subset_index_chunks(n, 2, rows=rows))
 
 
 class TestPairBlocks:
-    """``pair_blocks`` spans evaluate to the bytes of the index blocks of
-    ``subset_index_chunks(n, 2)`` that they stand for."""
+    """The values of each index block of ``subset_index_chunks(n, 2)`` are
+    the rows of one index array of every pair, byte for byte: the block
+    cuts, which fix the reduction order of the sums, change no value."""
 
     @staticmethod
     def codes_and_tables(kind, n, rng):
@@ -347,36 +348,49 @@ class TestPairBlocks:
     def test_values_equal_the_index_blocks(self, n, rows, kind):
         rng = np.random.default_rng(1000 * n + rows)
         codes, tables = self.codes_and_tables(kind, n, rng)
-        spans = list(pair_blocks(n, rows))
-        chunks = list(subset_index_chunks(n, 2, rows))
-        assert len(spans) == len(chunks)
-        for span, chunk in zip(spans, chunks):
-            assert len(span) == len(chunk)
-            assert (span.first, span.last, span.n) == (chunk[0, 0], chunk[-1, 0], n)
-            got = batch_code_traces(codes, span, tables)
-            assert got.tobytes() == batch_code_traces(codes, chunk, tables).tobytes()
+        pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+        want = batch_code_traces(codes, pairs, tables)
+        at = 0
+        for chunk in subset_index_chunks(n, 2, rows):
+            got = batch_code_traces(codes, chunk, tables)
+            assert got.tobytes() == want[at : at + len(chunk)].tobytes()
+            at += len(chunk)
+        assert at == len(pairs)
 
 
 class TestPairSums:
     """A :class:`PairSum` evaluates to the sum of the pair values that the
-    ``pair_blocks`` spans of the same pairs give, byte for byte, wherever
-    ``pairs_sum_exactly`` holds."""
+    index blocks of ``subset_index_chunks(n, 2)`` give, byte for byte,
+    wherever ``pairs_sum_exactly`` holds."""
 
-    # The last earlier-shot count whose pairs sum exactly, per qubit count.
+    # The last earlier-shot count whose closing pairs sum exactly at
+    # order 3, and the last record length whose pairs sum exactly at
+    # order 2, per qubit count.
     EXACT_TO = {4: 42_799, 5: 5_719, 6: 764, 7: 102, 8: 14, 9: 2}
+    ORDER_TWO_EXACT_TO = {4: 335_544, 8: 839, 9: 188, 10: 42}
 
     @pytest.mark.parametrize("n", sorted(EXACT_TO))
     def test_exactness_bound_at_its_edges(self, n):
         t = self.EXACT_TO[n]
-        assert pairs_sum_exactly(n, t) and not pairs_sum_exactly(n, t + 1)
+        assert pairs_sum_exactly(3, n, t) and not pairs_sum_exactly(3, n, t + 1)
         top = CHAIN_NUMERATORS[3] ** n
         assert math.comb(t, 2) * top <= 2**53 < math.comb(t + 1, 2) * top
 
+    @pytest.mark.parametrize("n", sorted(ORDER_TWO_EXACT_TO))
+    def test_order_two_bound_at_its_edges(self, n):
+        t = self.ORDER_TWO_EXACT_TO[n]
+        assert pairs_sum_exactly(2, n, t) and not pairs_sum_exactly(2, n, t + 1)
+        top = CHAIN_NUMERATORS[2] ** n
+        assert math.comb(t, 2) * top <= 2**53 < math.comb(t + 1, 2) * top
+
     def test_exactness_bound_outside_the_grouped_columns(self):
-        # Past 9 qubits the columns are six-valued per qubit and the value
-        # path runs whatever the record length.
-        assert [pairs_sum_exactly(n, 320_279) for n in (1, 2, 3)] == [True] * 3
-        assert not any(pairs_sum_exactly(n, t) for n in (10, 13) for t in (0, 2, 50))
+        # Past 9 qubits at order 3, and past 12 at order 2, no product of
+        # chain traces is sure to be exact, and the index blocks serve
+        # whatever the record length.
+        assert [pairs_sum_exactly(3, n, 320_279) for n in (1, 2, 3)] == [True] * 3
+        assert not any(pairs_sum_exactly(3, n, t) for n in (10, 13) for t in (0, 2, 50))
+        assert pairs_sum_exactly(2, 12, 2) and not pairs_sum_exactly(2, 12, 3)
+        assert not any(pairs_sum_exactly(2, n, t) for n in (13, 20) for t in (0, 2, 50))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 401])
     def test_len_counts_the_pairs(self, n):
@@ -389,7 +403,7 @@ class TestPairSums:
             (qubits, n)
             for qubits in (1, 2, 4, 6, 8)
             for n in (0, 1, 2, 14, 63, 64, 65, 129, 200)
-            if pairs_sum_exactly(qubits, n)
+            if pairs_sum_exactly(3, qubits, n)
         ],
     )
     def test_sum_equals_the_span_values(self, monkeypatch, qubits, n, width):
@@ -399,8 +413,8 @@ class TestPairSums:
         codes = group_codes(rng.integers(0, 6, (n, qubits)).astype(np.uint8), g)
         tables = closing_tables(3, rng.integers(0, 6, qubits).astype(np.uint8), g)
         want = 0.0 + 0.0j
-        for span in pair_blocks(n, rows=97):
-            want += batch_code_traces(codes, span, tables).sum()
+        for chunk in subset_index_chunks(n, 2, rows=97):
+            want += batch_code_traces(codes, chunk, tables).sum()
         got = batch_code_traces(codes, PairSum(n), tables)
         assert got.shape == (1,) and got.dtype == np.complex128
         assert np.complex128(0j + got.sum()).tobytes() == np.complex128(want).tobytes()
