@@ -23,11 +23,9 @@ from .certify import (
     CertificationVerdict,
     DescartesBound,
     EspVector,
-    MomentConstraint,
     certification_verdict,
     descartes_bound,
     hierarchy_check,
-    low_order_constraints,
     newton_girard,
 )
 from .errors import (
@@ -120,8 +118,6 @@ __all__ = [
     "hierarchy_check",
     "DescartesBound",
     "descartes_bound",
-    "MomentConstraint",
-    "low_order_constraints",
     "CertificationVerdict",
     "certification_verdict",
     # runner

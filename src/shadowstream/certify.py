@@ -29,8 +29,6 @@ __all__ = [
     "hierarchy_check",
     "DescartesBound",
     "descartes_bound",
-    "MomentConstraint",
-    "low_order_constraints",
     "CertificationVerdict",
     "certification_verdict",
 ]
@@ -128,52 +126,6 @@ def descartes_bound(esp: EspVector, zero_tolerance: float = ZERO_TOLERANCE) -> D
             signs.append(1.0 if value > 0 else -1.0)
     variations = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return DescartesBound(variations, variations % 2)
-
-
-@dataclass(frozen=True)
-class MomentConstraint:
-    """One closed-form moment inequality: its order, slack and verdict.
-
-    ``slack`` is ``k * e_k`` expressed directly in the moments, so it is
-    positive when the constraint holds with room to spare.
-    """
-
-    order: int
-    slack: float
-    satisfied: bool
-
-
-def low_order_constraints(
-    power_sums: Sequence[float], tolerance: float = 0.0
-) -> list[MomentConstraint]:
-    """Closed-form PSD constraints on ``p_2 .. p_5`` (as many as supplied).
-
-    ``power_sums`` starts at the second moment and assumes a unit trace
-    (``p_1 = 1``).  The inequalities are algebraically identical to
-    ``e_k >= 0`` for ``k = 2..5``; order k is reported satisfied when
-    its slack ``k * e_k`` stays above ``-k * tolerance``, matching a
-    hierarchy check at the same tolerance.
-    """
-    p = [float(x) for x in power_sums]
-    if not 1 <= len(p) <= 4:
-        raise ValueError(f"expected between one (p_2) and four (p_2..p_5) moments, got {len(p)}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    p2 = p[0]
-    slacks = {2: 1.0 - p2}
-    if len(p) > 1:
-        p3 = p[1]
-        slacks[3] = p3 - (3.0 * p2 - 1.0) / 2.0
-    if len(p) > 2:
-        p4 = p[2]
-        slacks[4] = (1.0 - 6.0 * p2 + 3.0 * p2**2 + 8.0 * p3) / 6.0 - p4
-    if len(p) > 3:
-        p5 = p[3]
-        slacks[5] = p5 - (-1.0 + 10.0 * p2 - 15.0 * p2**2 - 20.0 * p3 + 20.0 * p2 * p3 + 30.0 * p4) / 24.0
-    return [
-        MomentConstraint(k, slack, slack >= -k * tolerance)
-        for k, slack in sorted(slacks.items())
-    ]
 
 
 @dataclass(frozen=True)

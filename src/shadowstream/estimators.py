@@ -28,21 +28,22 @@ memory / cost / bias plane:
     and give the same value as the offline U-statistic at every order
     up to m.
 
-:class:`MomentStream` puts one strategy behind a shot-by-shot interface.
-A strategy is an object with a ``streaming`` flag, ``update(snapshot)``
-and ``estimate(order)``, built by the factory that ``_STRATEGIES`` maps
-its name to: ``online-recon`` is an :class:`AccumulatorSet`;
-``online-norecon`` a ``_RecordSums`` (one shared record, one running sum
-per order; the engine of :class:`OnlineRecordEstimator`); ``plugin`` a
-``_PluginSum`` (the engine of :func:`plugin_estimate`); ``ustat`` a
-``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints); and
+:class:`MomentStream` puts one strategy behind one interface.  A
+strategy is an object built by the factory that ``_STRATEGIES`` maps its
+name to, with four members: a ``streaming`` flag, ``advance(axes,
+bits)``, which absorbs a checked ``(B, N)`` block of shots,
+``trajectory(axes, bits, orders)``, which absorbs one and returns the
+estimates of ``orders`` after each row as arrays, and
+``estimate(order)``.  ``online-recon`` is an :class:`AccumulatorSet`
+(stacked products per block); ``online-norecon`` a ``_RecordSums`` (one
+shared record written and encoded once per block, one running sum per
+order; the engine of :class:`OnlineRecordEstimator`); ``ustat`` a
+``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints);
+``plugin`` a ``_PluginSum`` (the engine of :func:`plugin_estimate`); and
 ``batched`` a ``_RetainedRecord`` that reruns :func:`batched_estimate`.
-:meth:`MomentStream.trajectory` feeds a block of shots and returns every
-estimate after each shot as arrays, and :meth:`MomentStream.advance`
-feeds one without estimates.  An :class:`AccumulatorSet` absorbs the
-block as stacked products and ``_RecordSums`` as one record write and
-one encoding (``batched`` appends it too); ``plugin`` takes it row by
-row.
+The last two read their trajectory row by row.  A :class:`Snapshot` is a
+boundary type only: the per-shot ``update`` methods check its qubit
+count and advance by it as a one-row block.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .sampler import (
     _kron,
     codes_matrices,
     codes_matrix,
-    snapshot_matrix,
+    snapshot_matrix,  # unused here, but perfbench/layers.py wraps estimators.snapshot_matrix
 )
 from .states import _check_qubit_count, _part_qubits, partial_transpose
 
@@ -239,8 +240,7 @@ def plugin_estimate(record: ShadowRecord, order: int, part) -> MomentEstimate:
     if order == 1:
         return MomentEstimate(1, shots, 1.0, True)
     plugin = _PluginSum(part, record.n_qubits)
-    for snap in record:
-        plugin.update(snap)
+    plugin.advance(record.axes, record.bits)
     return plugin.estimate(order)
 
 
@@ -268,8 +268,9 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
     dropped = shots - batch * n_batches
     dim = 2**record.n_qubits
     means = np.zeros((n_batches, dim, dim), dtype=np.complex128)
-    for t in range(batch * n_batches):
-        means[t // batch] += snapshot_matrix(record[t])
+    used = shots - dropped
+    for t, codes in enumerate(2 * record.axes[:used] + record.bits[:used]):
+        means[t // batch] += codes_matrix(codes)
     means /= batch
     for b in range(n_batches):
         means[b] = partial_transpose(means[b], part)
@@ -284,11 +285,11 @@ class _RecordSums:
 
     ``sums`` maps each order m to the running sum of the kernel over all
     m-subsets of the record; a new shot adds the subsets it closes.  A
-    shot (``update``) or a ``(B, N)`` block of shots (``advance`` and
-    ``trajectory``) goes into the record with one write.  The shots
-    appended since the previous call (the whole record after a restore)
-    are then encoded at once, so every shot is encoded once, and each
-    encoded shot's :func:`group_codes` are kept beside its codes.
+    ``(B, N)`` block of shots (``advance`` and ``trajectory``) goes into
+    the record with one write.  The shots appended since the previous
+    call (the whole record after a restore) are then encoded at once, so
+    every shot is encoded once, and each encoded shot's
+    :func:`group_codes` are kept beside its codes.
 
     The new shot is the last member of every subset it closes, so an
     order-m update folds its codes into the chain tables once
@@ -361,13 +362,10 @@ class _RecordSums:
         self._encoded = 0
         self._scratch = Scratch()
 
-    def update(self, snapshot: Snapshot) -> None:
-        self.record.append(snapshot)
-        self._close(len(self.record) - 1)
-
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
         """Absorb the rows of checked ``(B, N)`` axes and bits."""
-        self.trajectory(axes, bits, ())
+        self.record._append_rows(axes, bits)
+        self._close(len(self.record) - len(axes))
 
     def trajectory(
         self, axes: np.ndarray, bits: np.ndarray, orders
@@ -433,6 +431,13 @@ class _RecordSums:
         return _finish(order, shots, self.sums[order] / math.comb(shots, order))
 
 
+def _one_row(snapshot: Snapshot, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """A snapshot of ``n_qubits`` qubits as a one-row block of axes and bits."""
+    if snapshot.n_qubits != n_qubits:
+        raise ValueError(f"snapshot has {snapshot.n_qubits} qubits, expected {n_qubits}")
+    return snapshot.axes[None], snapshot.bits[None]
+
+
 def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
     """A copy of the first ``done`` rows with room for at least ``total``."""
     grown = np.empty((max(16, 2 * total),) + rows.shape[1:], dtype=rows.dtype)
@@ -496,7 +501,7 @@ class OnlineRecordEstimator:
         return self._sums.sums[self._m]
 
     def update(self, snapshot: Snapshot) -> None:
-        self._sums.update(snapshot)
+        self._sums.advance(*_one_row(snapshot, self._n))
 
     def estimate(self) -> MomentEstimate:
         return self._sums.estimate(self._m)
@@ -640,6 +645,12 @@ class AccumulatorSet:
         self._matrices[0] += last
         self._shots += 1
 
+    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        """Absorb the rows of checked ``(B, N)`` axes and bits, each by the
+        factored per-shot update, with no traces."""
+        for codes in _pt_codes(axes, bits, self._mask).tolist():
+            self._absorb(codes)
+
     def trajectory(
         self, axes: np.ndarray, bits: np.ndarray, orders
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -721,20 +732,39 @@ class AccumulatorSet:
         return cls(order, part, n_qubits, matrices=mats, shots=shots)
 
 
-class _PluginSum:
+class _RowwiseTrajectory:
+    """The ``trajectory`` of an engine whose estimates are not running sums:
+    advance by one row, then read ``estimate`` of each order."""
+
+    def trajectory(
+        self, axes: np.ndarray, bits: np.ndarray, orders
+    ) -> tuple[np.ndarray, np.ndarray]:
+        values = np.empty((len(axes), len(orders)))
+        defined = np.empty(values.shape, dtype=bool)
+        for i in range(len(axes)):
+            self.advance(axes[i : i + 1], bits[i : i + 1])
+            for col, m in enumerate(orders):
+                est = self.estimate(m)
+                values[i, col], defined[i, col] = est.value, est.well_defined
+        return values, defined
+
+
+class _PluginSum(_RowwiseTrajectory):
     """Running sum of dense snapshots; the order-m plug-in estimate is the
     trace of the m-th power of the partially transposed mean."""
 
     streaming = True
 
     def __init__(self, part, n_qubits: int):
+        _check_qubit_count(n_qubits)
         self._part = part
         self._sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
         self._shots = 0
 
-    def update(self, snapshot: Snapshot) -> None:
-        self._sum += snapshot_matrix(snapshot)
-        self._shots += 1
+    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        for codes in (2 * axes + bits).tolist():
+            self._sum += codes_matrix(codes)
+        self._shots += len(axes)
 
     def estimate(self, order: int) -> MomentEstimate:
         if self._shots < 1:
@@ -744,18 +774,18 @@ class _PluginSum:
         return _finish(order, self._shots, complex(np.trace(power)))
 
 
-class _RetainedRecord:
-    """The ``batched`` strategy: keeps every shot (``update`` and ``advance``
-    append to the record) and reruns :func:`batched_estimate` over the
-    record on request; orders it cannot form yet are undefined."""
+class _RetainedRecord(_RowwiseTrajectory):
+    """The ``batched`` strategy: keeps every shot (``advance`` appends to
+    the record) and reruns :func:`batched_estimate` over the record on
+    request; orders it cannot form yet are undefined."""
 
     streaming = False
 
     def __init__(self, part, n_qubits: int, n_batches: int):
+        _check_qubit_count(n_qubits)
         self._part = part
         self._n_batches = n_batches
         self._record = ShadowRecord(n_qubits)
-        self.update = self._record.append
         self.advance = self._record._append_rows
 
     def estimate(self, order: int) -> MomentEstimate:
@@ -877,24 +907,16 @@ class MomentStream:
         return self._shots
 
     def update(self, snapshot: Snapshot) -> None:
-        self._estimator.update(snapshot)
+        """:meth:`advance` by one shot of the stream's qubit count."""
+        self._estimator.advance(*_one_row(snapshot, self._n_qubits))
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """:meth:`update` by each row of ``(B, N)`` axes and bits.
-
-        The block is checked once (see :meth:`trajectory`).  A strategy with
-        its own ``advance`` absorbs it as arrays; any other goes through
-        :meth:`update` row by row.
-        """
+        """:meth:`update` by each row of ``(B, N)`` axes and bits, checked
+        once (see :meth:`trajectory`)."""
         axes, bits = _coerce_block(axes, bits, self._n_qubits)
-        block = getattr(self._estimator, "advance", None)
-        if block is None:
-            for row_axes, row_bits in zip(axes, bits):
-                self.update(Snapshot(row_axes, row_bits))
-        else:
-            block(axes, bits)
-            self._shots += len(axes)
+        self._estimator.advance(axes, bits)
+        self._shots += len(axes)
 
     def trajectory(self, axes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Update by each row of ``(B, N)`` axes and bits and return every
@@ -903,21 +925,10 @@ class MomentStream:
 
         The block is checked once, by the rule of :class:`Snapshot`: matching
         2-D shapes with the stream's qubit count, axes below 3 and bits
-        below 2, else ``ValueError``.  A strategy with its own
-        ``trajectory`` absorbs it as arrays; any other goes through
-        :meth:`update` and :meth:`estimates` row by row.
+        below 2, else ``ValueError``.
         """
         axes, bits = _coerce_block(axes, bits, self._n_qubits)
-        block = getattr(self._estimator, "trajectory", None)
-        if block is None:
-            values = np.empty((len(axes), len(self.orders)))
-            defined = np.empty((len(axes), len(self.orders)), dtype=bool)
-            for i, (row_axes, row_bits) in enumerate(zip(axes, bits)):
-                self.update(Snapshot(row_axes, row_bits))
-                for col, est in enumerate(self.estimates().values()):
-                    values[i, col], defined[i, col] = est.value, est.well_defined
-            return values, defined
-        values, defined = block(axes, bits, [m for m in self.orders if m > 1])
+        values, defined = self._estimator.trajectory(axes, bits, [m for m in self.orders if m > 1])
         self._shots += len(axes)
         if self.orders[0] == 1:  # pinned to 1 from the first shot on
             values = np.hstack([np.ones((len(axes), 1)), values])

@@ -134,8 +134,13 @@ def transposed_factors(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
 
 
 def _pt_codes(axes: np.ndarray, bits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``2 * axis + (bit XOR (axis is Y and the qubit is in mask))`` as uint8."""
-    return (2 * axes + (bits ^ ((axes == AXIS_Y) & mask))).astype(np.uint8)
+    """``2 * axis + (bit XOR (axis is Y and the qubit is in mask))`` as uint8.
+
+    ``axis & mask`` is 1 exactly where the axis is Y (``AXIS_Y`` is 1, and
+    X = 0 and Z = 2 have the low bit clear) on a transposed qubit, and XOR
+    with it flips only the low bit, the one that holds the outcome.
+    """
+    return ((2 * axes + bits) ^ (axes & mask)).astype(np.uint8, copy=False)
 
 
 def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:

@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .certify import EspVector, descartes_bound, hierarchy_check, newton_girard
+from .certify import EspVector, certification_verdict, newton_girard
 from .errors import InvalidStateError
 from .estimators import MomentStream, check_strategy
 from .sampler import (  # shot_rng: unused here, but perfbench/layers.py wraps runner.shot_rng
@@ -563,13 +563,13 @@ def recompute_run_summaries(payload: dict) -> list[dict]:
                 else:
                     break
             esp = EspVector(np.array(esp_values))
-            bound = descartes_bound(esp)
+            verdict = certification_verdict(esp)
             strategies[trace["strategy"]] = {
                 "moments": final_moments,
                 "esps": dict(zip(map(str, range(1, esp.max_order + 1)), _cleaned(esp.values[1:]))),
-                "first_negative_order": hierarchy_check(esp),
-                "descartes_variations": bound.variations,
-                "descartes_parity": bound.parity,
+                "first_negative_order": verdict.first_violated_order,
+                "descartes_variations": verdict.negative_count_bound,
+                "descartes_parity": verdict.negative_count_parity,
             }
         summary = {
             "run": run,

@@ -45,6 +45,16 @@ from shadowstream.runner import (
 )
 
 SEEDS = (3, 17, 2**64 - 5)
+STRATEGIES = ["online-recon", "online-norecon", "ustat", "plugin", "batched"]
+
+
+def forbid_snapshots(monkeypatch):
+    """Make any per-shot ``Snapshot`` that the estimators build fail the test."""
+
+    def no_snapshots(*args):
+        raise AssertionError("a block path built a per-shot Snapshot")
+
+    monkeypatch.setattr(shadowstream.estimators, "Snapshot", no_snapshots)
 
 
 class CountingSampler(BornSampler):
@@ -151,10 +161,10 @@ class TestAccumulatorTrajectory:
         assert acc.matrices.tobytes() == final
         assert acc.shots == count
 
-    @pytest.mark.parametrize("strategy", ["online-recon", "online-norecon", "plugin"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_stream_trajectory_equals_update_and_estimates(self, strategy):
         record = stream_shadows(werner_state(2, 0.8), 90, 4)
-        one, block = (MomentStream(strategy, (1, 2, 3), (1,), 2) for _ in range(2))
+        one, block = (MomentStream(strategy, (1, 2, 3), (1,), 2, n_batches=4) for _ in range(2))
         expected = []
         for snap in record:
             one.update(snap)
@@ -238,7 +248,7 @@ class TestRecordTrajectory:
         monkeypatch.setattr(shadowstream.kernel, "_SUM_COLUMNS", width)
         self.assert_blocks_match(4, (2, 3), 620, seed=6)
 
-    @pytest.mark.parametrize("strategy", ["ustat", "batched", "online-norecon"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_advance_equals_per_shot_updates(self, strategy, monkeypatch):
         axes, bits = random_block(3, 150, 9)
         blocks = list(ragged_blocks(150, (3, 64, 19, 128)))
@@ -248,16 +258,26 @@ class TestRecordTrajectory:
             for row_axes, row_bits in zip(axes[lo:hi], bits[lo:hi]):
                 one.update(Snapshot(row_axes, row_bits))
             expected.append(one.estimates())
-
-        def no_snapshots(*args):
-            raise AssertionError("a block path built a per-shot Snapshot")
-
-        monkeypatch.setattr(shadowstream.estimators, "Snapshot", no_snapshots)
+        forbid_snapshots(monkeypatch)
         block = MomentStream(strategy, (1, 2, 3), (1, 2), 3, n_batches=4)
         for (lo, hi), want in zip(blocks, expected):
             block.advance(axes[lo:hi], bits[lo:hi])
             assert same_estimates(block.estimates(), want)
         assert block.shots == one.shots == 150
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_block_trajectory_equals_per_shot_updates(self, strategy, monkeypatch):
+        axes, bits = random_block(3, 150, 9)
+        one, expected = per_shot_stream(strategy, (1, 2, 3), 3, axes, bits, n_batches=4)
+        forbid_snapshots(monkeypatch)
+        block = MomentStream(strategy, (1, 2, 3), (1, 2), 3, n_batches=4)
+        got = [block.trajectory(axes[lo:hi], bits[lo:hi])
+               for lo, hi in ragged_blocks(150, (3, 64, 19, 128))]
+        values, defined = (np.concatenate(parts) for parts in zip(*got))
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(defined, ~np.isnan(expected))
+        assert block.shots == one.shots == 150
+        assert same_estimates(block.estimates(), one.estimates())
 
 
 MALFORMED = {
@@ -274,9 +294,7 @@ MALFORMED = {
 
 class TestBlockChecks:
     @pytest.mark.parametrize("method", ["trajectory", "advance"])
-    @pytest.mark.parametrize(
-        "strategy", ["online-recon", "online-norecon", "ustat", "plugin", "batched"]
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_blocks_raise(self, case, strategy, method):
         axes, bits = MALFORMED[case]
@@ -284,6 +302,16 @@ class TestBlockChecks:
         with pytest.raises(ValueError):
             getattr(stream, method)(np.array(axes), np.array(bits))
         assert stream.shots == 0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_wrong_size_snapshot_raises(self, strategy):
+        stream = MomentStream(strategy, (2, 3), (1,), 2, n_batches=3)
+        for snapshot in (Snapshot("XYZ", [0, 1, 0]), Snapshot("X", [1])):
+            with pytest.raises(ValueError, match="qubits"):
+                stream.update(snapshot)
+            assert stream.shots == 0
+        stream.update(Snapshot("XY", [0, 1]))
+        assert stream.shots == 1
 
 
 def scalar_newton_girard(p):

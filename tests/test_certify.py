@@ -10,7 +10,6 @@ from shadowstream import (
     exact_esp,
     exact_pt_moment,
     hierarchy_check,
-    low_order_constraints,
     newton_girard,
     werner_pt_spectrum,
 )
@@ -129,52 +128,6 @@ class TestDescartesBound:
             negatives = int(np.sum(spectrum < 0))
             assert negatives <= bound.variations
             assert negatives % 2 == bound.parity
-
-
-class TestLowOrderConstraints:
-    def test_slack_equals_scaled_esp(self):
-        # Each constraint's slack is k * e_k written out in moments.
-        spectrum = werner_pt_spectrum(2, 5.0 / 6.0)
-        p = [exact_pt_moment(spectrum, m) for m in range(2, 6)]
-        constraints = low_order_constraints(p)
-        for constraint in constraints:
-            expected = constraint.order * exact_esp(spectrum, constraint.order)
-            assert constraint.slack == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        assert [c.order for c in constraints] == [2, 3, 4, 5]
-
-    def test_detection_pattern_for_npt_werner(self):
-        spectrum = werner_pt_spectrum(2, 5.0 / 6.0)
-        p = [exact_pt_moment(spectrum, m) for m in range(2, 6)]
-        satisfied = {c.order: c.satisfied for c in low_order_constraints(p, tolerance=1e-12)}
-        # e_2 > 0, e_3 < 0, e_4 < 0; e_5 vanishes identically for a
-        # four-dimensional spectrum, so order 5 holds (with an equality
-        # tolerance against rounding in the moment expression).
-        assert satisfied == {2: True, 3: False, 4: False, 5: True}
-
-    def test_all_satisfied_for_ppt_werner(self):
-        spectrum = werner_pt_spectrum(2, 0.4)
-        p = [exact_pt_moment(spectrum, m) for m in range(2, 6)]
-        assert all(c.satisfied for c in low_order_constraints(p))
-
-    def test_accepts_partial_prefixes(self):
-        assert len(low_order_constraints([0.6])) == 1
-        assert len(low_order_constraints([0.6, 0.3, 0.2])) == 3
-
-    def test_tolerance_shifts_verdicts(self):
-        spectrum = werner_pt_spectrum(2, 5.0 / 6.0)
-        p = [exact_pt_moment(spectrum, m) for m in range(2, 4)]
-        strict = low_order_constraints(p)
-        lax = low_order_constraints(p, tolerance=1.0)
-        assert not strict[1].satisfied
-        assert lax[1].satisfied
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            low_order_constraints([])
-        with pytest.raises(ValueError):
-            low_order_constraints([0.5] * 5)
-        with pytest.raises(ValueError):
-            low_order_constraints([0.5], tolerance=-0.1)
 
 
 class TestVerdict:

@@ -274,7 +274,7 @@ class TestClosingShotFold:
         codes = snapshot_codes(record.axes, record.bits, part)
         sums = _RecordSums(part, ShadowRecord(n), {m: 0j})
         for t in range(shots):
-            sums.update(record[t])
+            sums.advance(record.axes[t : t + 1], record.bits[t : t + 1])
             if t + 1 < m or (checked is not None and t not in checked):
                 continue
             want = closed_tuple_fresh(codes, t, m, chain_trace_table(m) if table is None else table)
@@ -337,7 +337,7 @@ class TestClosingShotFold:
         factors = factors_from_codes(snapshot_codes(record.axes, record.bits, PART))
         sums = _RecordSums(PART, ShadowRecord(2), {7: 0j})
         for t in range(10):
-            sums.update(record[t])
+            sums.advance(record.axes[t : t + 1], record.bits[t : t + 1])
             if t < 6:
                 continue
             want = 0.0 + 0.0j
@@ -532,6 +532,13 @@ class TestMomentStream:
             MomentStream("batched", (2,), PART, 2)
         with pytest.raises(ValueError, match="n_batches"):
             MomentStream("batched", (2, 3), PART, 2, n_batches=2)
+
+    @pytest.mark.parametrize("n", [13, 40])
+    @pytest.mark.parametrize("strategy", ["plugin", "batched"])
+    def test_dense_strategies_check_the_qubit_cap(self, strategy, n):
+        # The check comes before any dense allocation.
+        with pytest.raises(CapacityError):
+            MomentStream(strategy, (2,), (0,), n, n_batches=2)
 
     def test_orders_are_sorted_and_deduped(self):
         stream = MomentStream("online-recon", (3, 2, 3), PART, 2)

@@ -177,8 +177,8 @@ class TestCodePath:
         rng = np.random.default_rng(7)
         axes = rng.integers(0, 3, (25, 4), dtype=np.uint8)
         bits = rng.integers(0, 2, (25, 4), dtype=np.uint8)
-        for part in [(), (0,), (1, 3), (0, 1, 2, 3)]:
-            codes = snapshot_codes(axes, bits, part)
+        for part, dtype in itertools.product([(), (0,), (1, 3), (0, 1, 2, 3)], [np.uint8, int]):
+            codes = snapshot_codes(axes.astype(dtype), bits.astype(dtype), part)
             assert codes.dtype == np.uint8
             assert np.array_equal(
                 factors_from_codes(codes), transposed_factors(axes, bits, part)
