@@ -69,7 +69,6 @@ from .kernel import (
     factors_from_codes,
     group_codes,
     group_width,
-    pairs_sum_exactly,
     pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
     subset_index_chunks,
@@ -172,24 +171,19 @@ def _finish(order: int, shots: int, scaled: complex, dropped: int = 0) -> Moment
     return MomentEstimate(order, shots, scaled.real, True, abs(scaled.imag), dropped)
 
 
-def _kernel_sum(
-    codes: np.ndarray, k: int, tables=None, closing=None, *, order=0, n_qubits=0, scratch=None
-) -> complex:
+def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None, scratch=None) -> complex:
     """The trace kernel summed over the k-subsets of the rows of ``codes``.
 
-    With ``tables``, a :func:`batch_code_traces` lookup in them.  Pairs
-    whose values, chains of ``order`` factors over ``n_qubits`` qubits,
-    sum exactly in any order (:func:`pairs_sum_exactly`) are summed as
-    one :class:`PairSum` working in ``scratch``; every other subset comes
-    from the index blocks of :func:`subset_index_chunks`.  Without
-    ``tables``, the 2x2 factor chains of per-qubit ``codes``, each closed
-    by the ``closing`` factors when given.  Index blocks are summed block
-    by block, in lexicographic order, so the reduction order depends only
-    on the shape.
+    With ``tables``, a :func:`batch_code_traces` lookup in them: pairs are
+    summed as one :class:`PairSum` working in ``scratch``, every other
+    subset comes from the index blocks of :func:`subset_index_chunks`.
+    Without ``tables``, the 2x2 factor chains of per-qubit ``codes``, each
+    closed by the ``closing`` factors when given.  Index blocks are summed
+    block by block, in lexicographic order, so the reduction order depends
+    only on the shape.
     """
-    if tables is not None and k == 2 and pairs_sum_exactly(order, n_qubits, len(codes)):
-        pairs = PairSum(len(codes), scratch or Scratch())
-        return batch_code_traces(codes, pairs, tables)[0]
+    if tables is not None and k == 2:
+        return batch_code_traces(codes, PairSum(len(codes), scratch or Scratch()), tables)[0]
     total = 0.0 + 0.0j
     if tables is None:
         factors = factors_from_codes(codes)
@@ -207,9 +201,10 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     Averages the trace kernel over every index subset ``t_1 < ... < t_m``
     of the record, so the result is an unbiased estimate of the m-th
     moment.  Needs at least ``order`` shots.  At order 2 the pairs are
-    summed by BLAS dots wherever :func:`pairs_sum_exactly` holds (up to
-    335 544 shots at N = 4, 839 at N = 8, never past N = 12), else in
-    lexicographic order; both give the same bits.
+    summed by BLAS dots (a :class:`PairSum`), which give the bits of the
+    sum in lexicographic order while ``C(T, 2) * 20**N <= 2**53`` (T up
+    to 335 544 at N = 4, 839 at N = 8) and stay within the rounding
+    bound of the :mod:`~shadowstream.kernel` docstring past that.
     """
     _check_order(order)
     shots = len(record)
@@ -223,7 +218,7 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
         # The same chain table for every qubit, laid out once for the gathers.
         tables = np.tile(chain_trace_table(order), (record.n_qubits, 1))
         tables = tables.reshape((record.n_qubits,) + (6,) * order)
-    total = _kernel_sum(codes, order, tables, order=order, n_qubits=record.n_qubits)
+    total = _kernel_sum(codes, order, tables)
     return _finish(order, shots, total / math.comb(shots, order))
 
 
@@ -298,52 +293,25 @@ class _RecordSums:
     the past: ``N / g`` gathers and multiplies per tuple, with ``g =
     group_width(m, N)`` qubits per gather (2 at m = 2 and 3, which share
     one set of group codes, 1 from m = 4), instead of ``m * N`` code
-    gathers, ``N`` table gathers and ``N`` multiplies.  Grouped products
-    equal the left-to-right qubit products bit for bit while every
-    ``2**m`` times a chain trace has modulus at most ``M_m`` and
-    ``M_m**N <= 2**53``:
+    gathers, ``N`` table gathers and ``N`` multiplies.  Orders past
+    ``CHAIN_TABLE_MAX`` close each 2x2 factor chain with the new shot's
+    factors instead.
 
-    ====  =====  ==========
-    m     M_m    exact to N
-    ====  =====  ==========
-    2     20     12
-    3     56     9
-    4     272    6
-    5     992    5
-    6     4160   4
-    ====  =====  ==========
+    The pairs that an order-3 update closes reach the kernel as one
+    :class:`PairSum`: each code column's closing columns (its table at
+    the earlier shots' codes, 36 entries per shot) are gathered at the
+    first shots' codes, a tile of first indices by a column block of
+    later shots at a time, and one BLAS dot per tile sums the products,
+    with no value array.  The work is per pair, and the state is still
+    the O(T * N) codes.
 
-    and beyond that ``g`` is 1, so the sums equal the closed-tuple
-    evaluation bit for bit at every N.  Orders past ``CHAIN_TABLE_MAX``
-    close each 2x2 factor chain with the new shot's factors instead.
-
-    The pairs that an order-3 update closes take one of two routes
-    (:func:`_kernel_sum` picks).  While their sum is exact in any order
-    (:func:`pairs_sum_exactly`: ``C(t, 2) * 56**N <= 2**53`` for ``t``
-    earlier shots), they reach the kernel as one :class:`PairSum`: each
-    code column's closing columns (its table at the earlier shots' codes,
-    36 entries per shot) are gathered at the first shots' codes, a column
-    block of later shots at a time, and one BLAS dot per block sums the
-    products, with no value array.  That holds up to
-
-    ====  =================
-    N     earlier shots t
-    ====  =================
-    1     17 935 598
-    2     2 396 745
-    3     320 279
-    4     42 799
-    5     5 719
-    6     764
-    7     102
-    8     14
-    9     2
-    ====  =================
-
-    and past it, or with six-valued per-qubit columns (N > 9), they come
-    as the index blocks of :func:`subset_index_chunks` and are evaluated
-    value by value.  Either way the sums have the same bits, the work is
-    per pair, and the state is still the O(T * N) codes.
+    Every ``2**m`` times a chain trace has modulus at most
+    ``CHAIN_NUMERATORS[m]`` (56 at m = 3), so while the partial products
+    and sums of a fresh sum fit in 53 bits (``C(t, 2) * 56**N <= 2**53``
+    for the pairs of ``t`` earlier shots: t up to 42 799 at N = 4, 764 at
+    N = 6, 14 at N = 8) the sums equal the closed-tuple evaluation bit
+    for bit; past that they stay within the rounding bound of the
+    :mod:`~shadowstream.kernel` docstring.
     """
 
     streaming = True
@@ -421,8 +389,7 @@ class _RecordSums:
             return _kernel_sum(self._codes[:latest], m - 1, closing=closing)
         g = self._widths[m]
         codes = (self._codes if g == 1 else self._grouped[g])[:latest]
-        n_qubits = self.record.n_qubits
-        return _kernel_sum(codes, m - 1, tables, order=m, n_qubits=n_qubits, scratch=self._scratch)
+        return _kernel_sum(codes, m - 1, tables, scratch=self._scratch)
 
     def estimate(self, order: int) -> MomentEstimate:
         shots = len(self.record)
@@ -452,12 +419,12 @@ class OnlineRecordEstimator:
     C(T, m-1) fresh tuples ending at the new shot, so updates get
     quadratically slower (for m = 3) as the record grows, but no
     2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
-    are pairs of the past.  While their sum is exact in any order (up to
-    42 799 earlier shots at N = 4, 764 at N = 6, 102 at N = 7; see
-    ``_RecordSums``) it is taken by BLAS dots over closing columns, the
-    new shot's tables at the later shots' codes gathered at the first
-    shots' codes; past that, value by value from index blocks.  Work per
-    pair, state still O(T * N).
+    are pairs of the past, summed at every N by BLAS dots over closing
+    columns, the new shot's tables at the later shots' codes gathered at
+    the first shots' codes: bit-equal to the offline U-statistic while
+    no partial sum rounds (see ``_RecordSums``), within the rounding
+    bound of the :mod:`~shadowstream.kernel` docstring past that.  Work
+    per pair, state still O(T * N).
     """
 
     _state_kind = _KIND_RECORD
@@ -799,32 +766,13 @@ class _PacedRecordSums(_RecordSums):
     """The ``ustat`` strategy: ``_RecordSums`` read only at checkpoints.
 
     Its running sums equal :func:`ustat_offline` bit for bit while every
-    partial sum is exact.  An order-m kernel value is a Gaussian integer
-    times ``2**(-m*N)`` of modulus at most ``2**((m+1)*N)``, so a sum of
-    ``C(T, m)`` of them is exact in any order while ``C(T, m) *
-    2**((2*m+1)*N) <= 2**53``.  That worst case first fails at T =
-
-    ====  ==========  =====  =====
-    N     m = 2       m = 3  m = 4
-    ====  ==========  =====  =====
-    1     23726567    75021  4535
-    2     4194305     14887  955
-    3     741456      2955   202
-    4     131073      588    44
-    5     23171       118    11
-    6     4097        25     4
-    ====  ==========  =====  =====
-
-    and earlier still for more qubits.  Random signs keep real sums far
-    below this bound, so in practice they stay exact much longer; past
-    it the two agree to rounding.
-
-    The kernel values themselves are bit-equal to the offline ones at
-    every N: ``2**m`` times a chain trace has modulus at most ``M_m`` =
-    20, 56, 272 at m = 2, 3, 4, so the grouped lookups of ``_RecordSums``
-    multiply without rounding up to N = 12, 9, 6 qubits (see the table
-    there), and past that they multiply qubit by qubit as the offline
-    lookup does.
+    partial product and sum is exact.  An order-m kernel value is a
+    Gaussian integer times ``2**(-m*N)`` of modulus at most
+    ``2**((m+1)*N)``, so a sum of ``C(T, m)`` of them is exact in any
+    order while ``C(T, m) * 2**((2*m+1)*N) <= 2**53`` (at N = 4: T up to
+    131 072 at m = 2, 587 at m = 3), and random signs keep real sums
+    exact much longer.  Past that the two agree within the rounding
+    bound of the :mod:`~shadowstream.kernel` docstring.
     """
 
     streaming = False

@@ -22,17 +22,27 @@ to multiplying the matrices out.
 The record-only estimator adds each new shot's subsets, all of which end
 in that shot.  It folds the shot's codes into the chain tables once
 (:func:`closing_tables`) and looks up only the earlier members; runs of
-qubits share one lookup through combined codes (:func:`group_codes`)
-wherever no product of table values can round (:func:`group_width`).
-A set of pairs (those of the past that an order-3 shot closes, and the
-order-2 U-statistic's) takes one of two routes.  Where only its sum is
-needed and every partial sum is exact (:func:`pairs_sum_exactly`), a
-:class:`PairSum` asks :func:`batch_code_traces` for that sum: each code
-column's closing columns (its table at the later shots' codes) are
-gathered at the first shots' codes, a column block of later shots at a
-time, and one BLAS dot sums the block.  Elsewhere the pairs come as the
-index blocks of :func:`subset_index_chunks`, whose lookup keys give
-every value in lexicographic order, the reference bits.
+qubits share one lookup through combined codes (:func:`group_codes`,
+:func:`group_width` of them).  A set of pairs (those of the past that an
+order-3 shot closes, and the order-2 U-statistic's) is summed by a
+:class:`PairSum`: each code column's closing columns (its table at the
+later shots' codes) are gathered at the first shots' codes, a tile of
+first indices by a column block of later shots at a time, and one BLAS
+dot sums the tile.  Every other subset comes as the index blocks of
+:func:`subset_index_chunks`, whose lookup keys give every value in
+lexicographic order.
+
+Chain traces are dyadic (see ``CHAIN_NUMERATORS``), so while every
+partial product and partial sum of a kernel sum fits in 53 bits, no
+grouping or summation order changes its bits.  Past that, a sum of
+values, each a product over G code columns, that reaches each value
+through at most A additions (A <= K for K values summed at once, A <= K
++ T for a running sum over T shots) differs from the exact sum by at
+most ``gamma(3 * (A + G)) * S``, where ``gamma(k) = k*u / (1 - k*u)``,
+``u = 2**-53`` and ``S`` is the same sum of the values' moduli (the
+tables replaced by their absolute values): a complex product is within
+``gamma(3)`` of exact, and a BLAS dot, which sums real and imaginary
+parts apart, within ``sqrt(2) * gamma(2 * A)``.
 
 A dense evaluation builds every reconstruction and multiplies full
 matrices; it is the one independent cross-check of the direct path.
@@ -43,7 +53,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -70,7 +79,6 @@ __all__ = [
     "subset_index_chunks",
     "PairSum",
     "Scratch",
-    "pairs_sum_exactly",
 ]
 
 # Upper bound on gathered (tuple, position, qubit) factor slots per chunk;
@@ -82,9 +90,13 @@ _CHUNK_SLOTS = 1 << 20
 # on its own, so the block size bounds temporaries and nothing else.
 _CODE_ROWS = 1 << 13
 
-# Later shots per column block of a summed pair evaluation; its row
-# gathers are this many columns by the record length.
+# Later shots per column block of a summed pair evaluation, and first
+# indices per tile of its row gathers (a multiple of the block, so a
+# block never straddles two tiles): the gathers of one tile are at most
+# _SUM_ROWS by _SUM_COLUMNS entries per code column, 1 MB, and tile edges
+# depend only on the shape.
 _SUM_COLUMNS = 64
+_SUM_ROWS = 16 * _SUM_COLUMNS
 
 # Longest chain length for which full trace tables are precomputed.  A
 # table for length m holds 6**m complex entries and its construction
@@ -93,12 +105,9 @@ CHAIN_TABLE_MAX = 6
 
 # Every entry of ``2**m * chain_trace_table(m)`` is a Gaussian integer of
 # modulus at most CHAIN_NUMERATORS[m], so a product of N chain traces
-# never rounds, in any grouping, while CHAIN_NUMERATORS[m]**N <= 2**53:
-# up to GROUPED_EXACT_QUBITS[m] qubits.
+# never rounds, in any grouping, while CHAIN_NUMERATORS[m]**N <= 2**53,
+# and a sum of K such products in any order while K times that does.
 CHAIN_NUMERATORS = {1: 2, 2: 20, 3: 56, 4: 272, 5: 992, 6: 4160}
-GROUPED_EXACT_QUBITS = {
-    m: max(n for n in range(1, 64) if top**n <= 2**53) for m, top in CHAIN_NUMERATORS.items()
-}
 
 # Factor matrices in code order (code = 2 * axis + bit).
 _FACTORS_FLAT = FACTORS.reshape(6, 2, 2)
@@ -200,9 +209,10 @@ def batch_code_traces(
     columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
     codes[i_k, g]]``.  ``indices`` is a ``(K, k)`` index array or a
     :class:`PairSum`, which evaluates to a one-element array: the sum of
-    the values of all its pairs, taken in whatever order
-    :func:`_sum_pairs` takes it (so equal to a sum in lexicographic order
-    only where :func:`pairs_sum_exactly` holds).
+    the values of all its pairs, taken in the order :func:`_sum_pairs`
+    takes it (equal to a sum in lexicographic order bit for bit while no
+    partial sum rounds, and within the bound of the module docstring
+    past that).
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -211,8 +221,7 @@ def batch_code_traces(
     but each per-qubit chain trace is a single gather instead of a run of
     2x2 products.  Six-valued columns (``B = 6``) multiply as
     ``.prod(axis=1)`` does, rounding included; the wider columns of
-    :func:`group_codes`, which :func:`group_width` forms only where no
-    product rounds, multiply elementwise.
+    :func:`group_codes` multiply elementwise, left to right.
     """
     codes = np.asarray(codes)
     if isinstance(indices, PairSum):
@@ -307,68 +316,55 @@ def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables: np.ndarray) -> complex
     Column g's closing columns ``tables[g][:, codes[j, g]]`` hold, for
     every code u a first shot may have, the value of the pair at later
     shot j; a pair's factor is row ``codes[i, g]`` of them.  For each
-    block of ``_SUM_COLUMNS`` later shots, every column gathers those
-    rows for all first indices before the block's end into the pairs'
-    :class:`Scratch` (``mode="clip"`` writes straight into it; the codes
-    are in range), the columns but the last multiply left to right, the
-    first indices inside the block keep only their later shots, and one
-    dot with the last column sums the block.
+    block of ``_SUM_COLUMNS`` later shots and each tile of ``_SUM_ROWS``
+    first indices before the block's end, every column gathers those rows
+    into the pairs' :class:`Scratch` (``mode="clip"`` writes straight into
+    it; the codes are in range), the columns but the last multiply left
+    to right, the first indices inside the block keep only their later
+    shots, and one dot with the last column sums the tile.  A record of at
+    most ``_SUM_ROWS`` shots is one tile per block.
     """
-    n, width = pairs.n, _SUM_COLUMNS
+    n, width, tile = pairs.n, _SUM_COLUMNS, _SUM_ROWS
     columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
     later = _later_shots(width)
-    # Room for every block of a record of up to n rounded up to whole
-    # blocks, so that the buffer grows once per block of record length.
-    scratch = pairs.scratch.entries(len(columns) * -(-n // width) * width * width)
+    # Room for one tile, a short record's rounded up to whole blocks, so
+    # that the buffer grows once per block of record length up to a tile.
+    scratch = pairs.scratch.entries(len(columns) * min(-(-n // width) * width, tile) * width)
     total = 0.0 + 0.0j
     for lo in range(0, n, width):
         hi = min(lo + width, n)
-        rows = scratch[: len(columns) * hi * (hi - lo)].reshape(len(columns), hi, hi - lo)
-        for g, column in enumerate(columns):
-            closing = tables[g].take(column[lo:hi], axis=1)
-            closing.take(column[:hi], axis=0, out=rows[g], mode="clip")
-        product, last = rows[0], rows[-1]
-        for g in range(1, len(columns) - 1):
-            product *= rows[g]
-        last[lo:] *= later[: hi - lo, : hi - lo]
-        total += product.ravel() @ last.ravel() if len(columns) > 1 else last.sum()
+        closing = [tables[g].take(column[lo:hi], axis=1) for g, column in enumerate(columns)]
+        for first in range(0, hi, tile):
+            end = min(first + tile, hi)
+            rows = scratch[: len(columns) * (end - first) * (hi - lo)]
+            rows = rows.reshape(len(columns), end - first, hi - lo)
+            for g, column in enumerate(columns):
+                closing[g].take(column[first:end], axis=0, out=rows[g], mode="clip")
+            product, last = rows[0], rows[-1]
+            for g in range(1, len(columns) - 1):
+                product *= rows[g]
+            if end > lo:
+                inside = max(first, lo)
+                last[inside - first :] *= later[inside - lo : end - lo, : hi - lo]
+            total += product.ravel() @ last.ravel() if len(columns) > 1 else last.sum()
     return total
-
-
-def pairs_sum_exactly(order: int, n_qubits: int, shots: int) -> bool:
-    """Whether the values of the pairs of ``shots`` shots, each a product
-    over ``n_qubits`` qubits of traces of ``order``-chains, sum exactly in
-    any order: an order-2 U-statistic's pairs (``order`` 2) or the pairs
-    of the past that an order-3 shot closes (``order`` 3).  Such a pair
-    value is ``2**(-order * N)`` times a Gaussian integer of modulus at
-    most ``CHAIN_NUMERATORS[order]**N``, so while ``C(shots, 2)`` times
-    that stays within ``2**53`` no partial sum rounds, and any summation
-    order gives the same bits.  At order 2 that is up to 335 544 shots at
-    N = 4, 839 at N = 8, 188 at N = 9, 42 at N = 10 and never past
-    N = 12; at order 3 up to 42 799 earlier shots at N = 4, 764 at N = 6,
-    102 at N = 7, 14 at N = 8, 2 at N = 9 and never past N = 9.
-    """
-    return (
-        n_qubits <= GROUPED_EXACT_QUBITS[order]
-        and math.comb(shots, 2) * CHAIN_NUMERATORS[order] ** n_qubits <= 2**53
-    )
 
 
 def group_width(order: int, n_qubits: int) -> int:
     """Qubits per group of :func:`closing_tables` for ``order``-tuples.
 
-    The widest ``g <= 2`` with ``g * (order - 1) <= 4``: 2 at orders 2 and
-    3, 1 from order 4, so a group table holds at most ``6**4`` entries
-    (36 per group at order 2, where wider groups would build more table
-    entries per shot than a short record has earlier shots to look up,
-    and 1296 at order 3).  Orders 2 and 3 share one set of group codes.  A
-    grouped product ``(t_0 t_1)(t_2 t_3)`` equals the left-to-right
-    ``((t_0 t_1) t_2) t_3`` only while no partial product rounds, so past
-    :data:`GROUPED_EXACT_QUBITS` the width is 1.
+    The widest ``g <= 2`` with ``g * (order - 1) <= 4``, capped by
+    ``n_qubits``: 2 at orders 2 and 3, 1 from order 4, so a group table
+    holds at most ``6**4`` entries (36 per group at order 2, where wider
+    groups would build more table entries per shot than a short record
+    has earlier shots to look up, and 1296 at order 3).  Orders 2 and 3
+    share one set of group codes.  A group table entry is a product of
+    two chain traces and never rounds; a product across groups equals
+    the left-to-right qubit product bit for bit while neither rounds
+    (``CHAIN_NUMERATORS[order]**N <= 2**53``), and stays within the bound
+    of the module docstring past that.
     """
-    if order < 2 or order > CHAIN_TABLE_MAX or n_qubits > GROUPED_EXACT_QUBITS[order]:
-        return 1
-    return max(1, min(2, 4 // (order - 1), n_qubits))
+    return min(2, n_qubits) if order in (2, 3) else 1
 
 
 def group_codes(codes: np.ndarray, width: int) -> np.ndarray:
