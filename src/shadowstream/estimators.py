@@ -21,12 +21,12 @@ memory / cost / bias plane:
     index, the new shot folded into the chain tables once.  After every
     shot it equals the offline U-statistic.
 ``AccumulatorSet``
-    Streaming U-statistic in dense form: m running 2**N x 2**N matrices
-    (16 * m * 4**N bytes) whose k-th member is the sum over ordered
-    (k+1)-subsets of products of transposed snapshots.  Updates cost the
-    same at every T, multiplying by the snapshot's Kronecker factors,
-    and give the same value as the offline U-statistic at every order
-    up to m.
+    Streaming U-statistic in dense form: m - 1 running 2**N x 2**N
+    matrices whose k-th member is the sum over ordered (k+1)-subsets of
+    products of transposed snapshots, and the running trace of the
+    order-m sum (16 * (m - 1) * 4**N + 16 bytes).  Updates cost the same
+    at every T, multiplying by the snapshot's Kronecker factors, and give
+    the same value as the offline U-statistic at every order up to m.
 
 :class:`MomentStream` puts one strategy behind one interface.  A
 strategy is an object built by the factory that ``_STRATEGIES`` maps its
@@ -40,7 +40,8 @@ shared record written and encoded once per block, one running sum per
 order; the engine of :class:`OnlineRecordEstimator`); ``ustat`` a
 ``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints);
 ``plugin`` a ``_PluginSum`` (the engine of :func:`plugin_estimate`); and
-``batched`` a ``_RetainedRecord`` that reruns :func:`batched_estimate`.
+``batched`` a ``_RetainedRecord`` that evaluates :func:`batched_estimate`
+from batch means built once per read.
 The last two read their trajectory row by row.  A :class:`Snapshot` is a
 boundary type only: the per-shot ``update`` methods check its qubit
 count and advance by it as a one-row block.
@@ -109,7 +110,9 @@ _STACK_BYTES = 1 << 20
 _TABLE_SHOTS = 4
 
 # The kind field of an SSES checkpoint (see :func:`save_estimator_state`).
-_KIND_RECORD, _KIND_ACCUMULATOR = 1, 2
+# Kind 2 holds all ``order`` accumulator matrices, as written before the top
+# order became a running trace; it still loads.
+_KIND_RECORD, _KIND_DENSE_ACCUMULATOR, _KIND_ACCUMULATOR = 1, 2, 3
 
 
 def _comb_floats(shots: np.ndarray, k: int) -> np.ndarray:
@@ -254,6 +257,13 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
             f"batched estimation of order {order} needs at least {order} batches, "
             f"got {n_batches}"
         )
+    return _batched_moment(_batch_means(record, part, n_batches), order, len(record))
+
+
+def _batch_means(record: ShadowRecord, part, n_batches: int) -> tuple[np.ndarray, int]:
+    """The partially transposed mean snapshots of ``n_batches`` equal
+    contiguous batches of the record, and the number of trailing shots
+    dropped; every order's batched estimate reads the same means."""
     shots = len(record)
     batch = shots // n_batches
     if batch < 1:
@@ -269,10 +279,16 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
     means /= batch
     for b in range(n_batches):
         means[b] = partial_transpose(means[b], part)
+    return means, dropped
+
+
+def _batched_moment(batches: tuple[np.ndarray, int], order: int, shots: int) -> MomentEstimate:
+    """The order-m batched estimate from :func:`_batch_means`."""
+    means, dropped = batches
     total = 0.0 + 0.0j
-    for chunk in subset_index_chunks(n_batches, order):
+    for chunk in subset_index_chunks(len(means), order):
         total += batch_tuple_traces(means[:, None, :, :], chunk).sum()
-    return _finish(order, shots, total / math.comb(n_batches, order), dropped)
+    return _finish(order, shots, total / math.comb(len(means), order), dropped)
 
 
 class _RecordSums:
@@ -492,13 +508,20 @@ class OnlineRecordEstimator:
 class AccumulatorSet:
     """Streaming U-statistic via running sums of snapshot products.
 
-    ``matrices[k]`` holds the sum over ordered (k+1)-subsets
+    ``matrices[k]`` holds ``S_{k+1}``, the sum over ordered (k+1)-subsets
     ``i_1 < ... < i_{k+1}`` of the record of the matrix product of the
-    corresponding transposed snapshots.  One update costs ``order``
-    matrix additions and ``order - 1`` multiplications regardless of how
-    many shots came before, and every order up to ``order`` can be read
-    off the same set; the snapshot itself is discarded after use.
-    Memory is ``16 * order * 4**N`` bytes.
+    corresponding transposed snapshots, for the orders below ``order``.
+    The top order ``m`` is only ever read through its trace, so it is
+    kept as one complex running trace ``top_trace``: a shot with
+    transposed snapshot ``R`` adds ``tr(S_{m-1} R)`` to it (``tr(R)`` at
+    order 1), with ``S_{m-1}`` from before the shot, and then updates the
+    lower orders, ``S_{k+1} += S_k @ R`` from the top down and ``S_1 +=
+    R``.  One update costs ``order - 1`` matrix additions, ``order - 2``
+    multiplications and one trace of a product regardless of how many
+    shots came before (orders 1 and 2 need no product at all), and every
+    order up to ``order`` can be read off the same set; the snapshot
+    itself is discarded after use.  Memory is ``16 * (order - 1) * 4**N
+    + 16`` bytes.
 
     An update transposes the snapshot on its codes (a Y-basis bit flips
     on each transposed qubit, as in :func:`snapshot_codes`) and splits
@@ -508,13 +531,16 @@ class AccumulatorSet:
     one gemm against the right factor, ``M.reshape(-1, c) @ C``, and one
     batched ``A.T @`` over the ``(d, a, c)`` view of the result, costing
     ``d**2 * (a + c)`` multiply-adds instead of ``d**3`` (``d = a * c =
-    2**N``); with one block it is the plain ``M @ dense``.
+    2**N``); with one block it is the plain ``M @ dense``.  The trace
+    increment is one pass over the dense ``R`` that ``S_1 += R`` needs
+    anyway (:func:`_trace_products`).
 
     Every factor entry is 0, +-0.5, +-1.5, 2 or -1 times 1 or i, so every
     accumulator entry is a dyadic rational and no product or sum rounds
     while the numerators fit in 53 bits: the factored product equals the
     dense one bit for bit, zero signs included (a sum from +0 never sees
-    them).  Beyond that point the two differ only at rounding level.
+    them), and the running trace equals the trace of the dense top
+    product.  Beyond that point they differ only at rounding level.
     """
 
     streaming = True
@@ -527,6 +553,7 @@ class AccumulatorSet:
         n_qubits: int,
         matrices: np.ndarray | None = None,
         shots: int = 0,
+        top_trace: complex = 0j,
     ):
         _check_order(order)
         _check_qubit_count(n_qubits)
@@ -535,15 +562,15 @@ class AccumulatorSet:
         self._mask = _transpose_mask(self._part, n_qubits)
         self._n = n_qubits
         dim = 2**n_qubits
+        shape = (order - 1, dim, dim)
         if matrices is None:
-            matrices = np.zeros((order, dim, dim), dtype=np.complex128)
+            matrices = np.zeros(shape, dtype=np.complex128)
         else:
             matrices = np.array(matrices, dtype=np.complex128, order="C")
-            if matrices.shape != (order, dim, dim):
-                raise ValueError(
-                    f"expected accumulator shape {(order, dim, dim)}, got {matrices.shape}"
-                )
+            if matrices.shape != shape:
+                raise ValueError(f"expected accumulator shape {shape}, got {matrices.shape}")
         self._matrices = matrices
+        self._trace = complex(top_trace)
         self._shots = int(shots)
         # The fewest near-equal qubit blocks of at most FACTOR_QUBITS, the
         # leading ones one qubit larger.  The last block's factor multiplies
@@ -562,8 +589,8 @@ class AccumulatorSet:
             )
             for i in range(blocks - 2, -1, -1)
         ]
-        self._rows = matrices.reshape(order, -1, widths[-1])
-        self._sums = matrices.reshape(order, *(self._steps[-1][1] if self._steps else (dim, dim)))
+        self._rows = matrices.reshape(order - 1, dim * dim // widths[-1], widths[-1])
+        self._sums = matrices.reshape(order - 1, *(self._steps[-1][1] if self._steps else (dim, dim)))
 
     @property
     def order(self) -> int:
@@ -583,9 +610,15 @@ class AccumulatorSet:
 
     @property
     def matrices(self) -> np.ndarray:
+        """``S_1 ... S_{m-1}``, read-only, ``(order - 1, 2**N, 2**N)``."""
         view = self._matrices.view()
         view.setflags(write=False)
         return view
+
+    @property
+    def top_trace(self) -> complex:
+        """The running trace of ``S_m``, the top order's accumulator."""
+        return complex(self._trace)
 
     def update(self, snapshot: Snapshot) -> None:
         if snapshot.n_qubits != self._n:
@@ -601,15 +634,19 @@ class AccumulatorSet:
         steps = self._steps and [
             (codes_matrix(codes[block]), shape) for block, shape in self._steps
         ]
+        dense = last
+        for factor, _ in steps:
+            dense = _kron(factor, dense)
+        top = self._matrices[-1:] if self._m > 1 else None
+        self._trace += _trace_products(top, dense[None])[0]
         rows, sums = self._rows, self._sums
-        for k in range(self._m - 1, 0, -1):
+        for k in range(self._m - 2, 0, -1):
             prod = rows[k - 1] @ last
             for factor, shape in steps:
                 prod = np.matmul(factor.T, prod.reshape(shape))
             sums[k] += prod
-        for factor, _ in steps:
-            last = _kron(factor, last)
-        self._matrices[0] += last
+        if self._m > 1:
+            self._matrices[0] += dense
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
@@ -628,13 +665,18 @@ class AccumulatorSet:
         Up to ``FACTOR_QUBITS`` qubits the block is absorbed as stacked
         products: with ``R_t`` the transposed snapshots, ``S_k`` after row
         ``t`` is ``S_k`` before the block plus the prefix sum of ``S_{k-1,
-        t-1} @ R_t``, one batched product and one ``cumsum`` per order,
-        in row chunks whose three live stacks stay within ``_STACK_BYTES``.
-        Beyond that each row takes the factored per-shot update.  Either
-        way every value equals the per-shot ``update``/``estimate`` pair
-        bit for bit: all entries are dyadic, so no sum rounds while the
-        numerators fit in 53 bits, and ``tr / comb(t, k)`` in float64 is
-        the real part of Python's ``complex / int``.
+        t-1} @ R_t``, one batched product and one ``cumsum`` per order
+        below the top, in row chunks whose three live stacks stay within
+        ``_STACK_BYTES``.  The top order takes one batched
+        :func:`_trace_products` of the ``S_{m-1}`` trajectory against the
+        snapshots, added to the running trace one row at a time.  Beyond
+        ``FACTOR_QUBITS`` each row takes the factored per-shot update.
+        Either way every value equals the per-shot ``update``/``estimate``
+        pair bit for bit: the top order's increments come from the same
+        routine and are added in the same order, all entries are dyadic,
+        so no matrix sum rounds while the numerators fit in 53 bits, and
+        ``tr / comb(t, k)`` in float64 is the real part of Python's
+        ``complex / int``.
         """
         codes = _pt_codes(axes, bits, self._mask)
         rows = len(codes)
@@ -642,10 +684,11 @@ class AccumulatorSet:
         if self._steps:
             for i, row in enumerate(codes):
                 self._absorb(row)
-                for k in range(self._m):
+                for k in range(self._m - 1):
                     traces[i, k] = np.trace(self._matrices[k])
+                traces[i, -1] = self._trace
         else:
-            step = max(1, _STACK_BYTES // (3 * self._matrices[0].nbytes))
+            step = max(1, _STACK_BYTES // (3 * 16 * 4**self._n))
             for lo in range(0, rows, step):
                 self._absorb_stacked(codes[lo : lo + step], traces[lo : lo + step])
             self._shots += rows
@@ -660,7 +703,7 @@ class AccumulatorSet:
         snaps = codes_matrices(codes)
         mats = self._matrices
         lower = None
-        for k in range(self._m):
+        for k in range(self._m - 1):
             if lower is None:
                 running = np.cumsum(snaps, axis=0)
             else:
@@ -673,7 +716,17 @@ class AccumulatorSet:
             running += mats[k]
             traces[:, k] = np.trace(running, axis1=1, axis2=2)
             lower = running
-        mats[-1] = lower[-1]
+        if lower is None:
+            increments = _trace_products(None, snaps)
+        else:
+            increments = np.empty(len(snaps), dtype=np.complex128)
+            increments[:1] = _trace_products(mats[-1:], snaps[:1])
+            increments[1:] = _trace_products(lower[:-1], snaps[1:])
+            mats[-1] = lower[-1]
+        # Sequential adds from the stored trace, as the per-shot update makes.
+        increments[0] += self._trace
+        np.cumsum(increments, out=traces[:, -1])
+        self._trace = complex(traces[-1, -1])
 
     def estimate(self, order: int | None = None) -> MomentEstimate:
         k = self._m if order is None else order
@@ -683,20 +736,42 @@ class AccumulatorSet:
             )
         if self._shots < k:
             return _undefined(k, self._shots)
-        scaled = complex(np.trace(self._matrices[k - 1])) / math.comb(self._shots, k)
-        return _finish(k, self._shots, scaled)
+        total = self._trace if k == self._m else np.trace(self._matrices[k - 1])
+        return _finish(k, self._shots, complex(total) / math.comb(self._shots, k))
 
     def _state_body(self) -> bytes:
-        """The checkpoint payload: the matrices, row-major."""
-        return self._matrices.tobytes()
+        """The checkpoint payload: the matrices, row-major, then the top
+        order's running trace."""
+        return self._matrices.tobytes() + struct.pack("<dd", self._trace.real, self._trace.imag)
 
     @classmethod
     def _from_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
         """The accumulators whose payload runs from ``offset`` to the end of ``blob``."""
         dim = 2**n_qubits
+        size = 16 * (order - 1) * dim * dim
+        body = _tail(blob, offset, size + 16)
+        mats = np.frombuffer(body[:size], dtype=np.complex128).reshape(order - 1, dim, dim)
+        re, im = struct.unpack_from("<dd", body, size)
+        return cls(order, part, n_qubits, mats, shots, complex(re, im))
+
+    @classmethod
+    def _from_dense_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
+        """The accumulators of a kind-2 payload, all ``order`` matrices: the
+        top one is read as its trace, which is all an estimate reads of it."""
+        dim = 2**n_qubits
         body = _tail(blob, offset, 16 * order * dim * dim)
         mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
-        return cls(order, part, n_qubits, matrices=mats, shots=shots)
+        return cls(order, part, n_qubits, mats[:-1], shots, complex(np.trace(mats[-1])))
+
+
+def _trace_products(lower: np.ndarray | None, snaps: np.ndarray) -> np.ndarray:
+    """``tr(L_t @ R_t)`` for the rows of two ``(rows, d, d)`` stacks, or
+    ``tr(R_t)`` without ``lower``: the top-order increments of an
+    :class:`AccumulatorSet`.  Each row's value depends on that row alone,
+    so a one-row call gives the bits of the same row in a block."""
+    if lower is None:
+        return np.trace(snaps, axis1=1, axis2=2)
+    return np.einsum("tij,tji->t", lower, snaps)
 
 
 class _RowwiseTrajectory:
@@ -718,7 +793,8 @@ class _RowwiseTrajectory:
 
 class _PluginSum(_RowwiseTrajectory):
     """Running sum of dense snapshots; the order-m plug-in estimate is the
-    trace of the m-th power of the partially transposed mean."""
+    trace of the m-th power of the partially transposed mean, which is
+    built once per shot count and shared by every order."""
 
     streaming = True
 
@@ -727,24 +803,28 @@ class _PluginSum(_RowwiseTrajectory):
         self._part = part
         self._sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
         self._shots = 0
+        self._transposed = None
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
         for codes in (2 * axes + bits).tolist():
             self._sum += codes_matrix(codes)
         self._shots += len(axes)
+        self._transposed = None
 
     def estimate(self, order: int) -> MomentEstimate:
         if self._shots < 1:
             return _undefined(order, self._shots)
-        transposed = partial_transpose(self._sum / self._shots, self._part)
-        power = np.linalg.matrix_power(transposed, order)
+        if self._transposed is None:
+            self._transposed = partial_transpose(self._sum / self._shots, self._part)
+        power = np.linalg.matrix_power(self._transposed, order)
         return _finish(order, self._shots, complex(np.trace(power)))
 
 
 class _RetainedRecord(_RowwiseTrajectory):
     """The ``batched`` strategy: keeps every shot (``advance`` appends to
-    the record) and reruns :func:`batched_estimate` over the record on
-    request; orders it cannot form yet are undefined."""
+    the record) and evaluates :func:`batched_estimate` over the record on
+    request, from batch means built once per shot count and shared by
+    every order; orders it cannot form yet are undefined."""
 
     streaming = False
 
@@ -753,13 +833,19 @@ class _RetainedRecord(_RowwiseTrajectory):
         self._part = part
         self._n_batches = n_batches
         self._record = ShadowRecord(n_qubits)
-        self.advance = self._record._append_rows
+        self._batches = None
+
+    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
+        self._record._append_rows(axes, bits)
+        self._batches = None
 
     def estimate(self, order: int) -> MomentEstimate:
-        try:
-            return batched_estimate(self._record, order, self._part, self._n_batches)
-        except InsufficientDataError:
-            return _undefined(order, len(self._record))
+        shots = len(self._record)
+        if order > self._n_batches or shots < self._n_batches:
+            return _undefined(order, shots)
+        if self._batches is None:
+            self._batches = _batch_means(self._record, self._part, self._n_batches)
+        return _batched_moment(self._batches, order, shots)
 
 
 class _PacedRecordSums(_RecordSums):
@@ -902,14 +988,18 @@ _STATE_MAGIC = b"SSES"
 _STATE_VERSION = 1
 _STATE_HEADER = struct.Struct("<4sHBHHQ")
 
-# Checkpoint kind -> the class that packs (``_state_body``) and unpacks
-# (``_from_state``) the payload after the common header and part list.
-_CHECKPOINTS = {cls._state_kind: cls for cls in (OnlineRecordEstimator, AccumulatorSet)}
+# Checkpoint kind -> the loader of the payload after the common header and
+# part list.  A class packs its own kind (``_state_kind``, ``_state_body``).
+_CHECKPOINTS = {
+    _KIND_RECORD: OnlineRecordEstimator._from_state,
+    _KIND_DENSE_ACCUMULATOR: AccumulatorSet._from_dense_state,
+    _KIND_ACCUMULATOR: AccumulatorSet._from_state,
+}
 
 
 def _pack_state(est) -> bytes:
     kind = getattr(est, "_state_kind", None)
-    if kind not in _CHECKPOINTS:
+    if kind is None:
         raise TypeError(f"cannot checkpoint {type(est).__name__}")
     part = est.transposed_qubits
     head = _STATE_HEADER.pack(_STATE_MAGIC, _STATE_VERSION, kind, est.order, est._n, est.shots)
@@ -946,7 +1036,10 @@ def load_estimator_state(path):
     been interrupted.  A file that is not exactly one checkpoint (foreign
     magic, unknown version or kind, a part list that is not strictly
     increasing, truncated or with trailing bytes) raises
-    :class:`ValueError`; whatever loads packs back to the same bytes.
+    :class:`ValueError`; whatever loads packs back to the same bytes,
+    except a kind-2 accumulator checkpoint (all ``order`` matrices, the
+    layout before the top order became a running trace), which packs as
+    kind 3.
     """
     with open(path, "rb") as fh:
         return _unpack_state(fh.read())
@@ -965,7 +1058,7 @@ def _unpack_state(blob: bytes):
     part, offset = _unpack(f"<{n_part}H", blob, offset)
     if list(part) != sorted(set(part)):
         raise ValueError(f"checkpoint part list {part} is not strictly increasing")
-    checkpoint = _CHECKPOINTS.get(kind)
-    if checkpoint is None:
+    load = _CHECKPOINTS.get(kind)
+    if load is None:
         raise ValueError(f"unknown checkpoint kind {kind}")
-    return checkpoint._from_state(blob, offset, order, part, n_qubits, shots)
+    return load(blob, offset, order, part, n_qubits, shots)

@@ -886,31 +886,33 @@ def _check_online_equals_offline() -> tuple[bool, str]:
     from .sampler import ShadowRecord
 
     # Two-qubit records, then a four-qubit one, where order 3 looks its
-    # qubits up in two groups of two, against both streaming forms; then
-    # random ten-qubit shots, past the qubit counts where every partial
-    # product and sum is exact, against the record-only form alone (its
+    # qubits up in two groups of two, against both streaming forms at
+    # orders 2 and 3, and against the accumulators alone at order 4 (a
+    # running top-order trace over two lower matrices); then random
+    # ten-qubit shots, past the qubit counts where every partial product
+    # and sum is exact, against the record-only form alone (its
     # accumulators would be 1024 x 1024).
     both = (OnlineRecordEstimator, AccumulatorSet)
-    cases = [
-        (stream_shadows(werner_state(n, 5.0 / 6.0), 30, seed), part, both)
-        for n, part, seed in ((2, (1,), 3), (2, (1,), 11), (4, (2, 3), 5))
-    ]
+    cases = []
+    for n, part, seed in ((2, (1,), 3), (2, (1,), 11), (4, (2, 3), 5)):
+        record = stream_shadows(werner_state(n, 5.0 / 6.0), 30, seed)
+        cases += [(record, part, 2, both), (record, part, 3, both)]
+        cases.append((record, part, 4, (AccumulatorSet,)))
     rng = np.random.default_rng(7)
     wide = ShadowRecord.from_arrays(rng.integers(0, 3, (30, 10)), rng.integers(0, 2, (30, 10)))
-    cases.append((wide, (5, 6, 7, 8, 9), (OnlineRecordEstimator,)))
+    cases += [(wide, (5, 6, 7, 8, 9), m, (OnlineRecordEstimator,)) for m in (2, 3)]
     worst = 0.0
-    for record, part, forms in cases:
-        for m in (2, 3):
-            streams = [form(m, part, record.n_qubits) for form in forms]
-            for t, snap in enumerate(record, start=1):
-                for stream in streams:
-                    stream.update(snap)
-                if t < m:
-                    continue
-                reference = ustat_offline(record[:t], m, part).value
-                scale = max(abs(reference), 1e-12)
-                for stream in streams:
-                    worst = max(worst, abs(stream.estimate().value - reference) / scale)
+    for record, part, m, forms in cases:
+        streams = [form(m, part, record.n_qubits) for form in forms]
+        for t, snap in enumerate(record, start=1):
+            for stream in streams:
+                stream.update(snap)
+            if t < m:
+                continue
+            reference = ustat_offline(record[:t], m, part).value
+            scale = max(abs(reference), 1e-12)
+            for stream in streams:
+                worst = max(worst, abs(stream.estimate().value - reference) / scale)
     return worst < 1e-9, f"max relative deviation {worst:.2e}"
 
 

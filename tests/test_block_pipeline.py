@@ -132,17 +132,23 @@ class TestBlockSampler:
 
 
 def per_shot_reference(acc, record):
-    """Per-shot estimates of every order after each shot, and the final state."""
+    """Per-shot estimates of every order after each shot, and the final
+    state: the lower-order matrices, then the top order's running trace."""
     values = []
     for snap in record:
         acc.update(snap)
         values.append([acc.estimate(k).value for k in range(1, acc.order + 1)])
-    return np.array(values), acc.matrices.tobytes()
+    return np.array(values), accumulator_state(acc)
+
+
+def accumulator_state(acc) -> bytes:
+    return acc.matrices.tobytes() + np.complex128(acc.top_trace).tobytes()
 
 
 class TestAccumulatorTrajectory:
     @pytest.mark.parametrize("n, order, count", [(2, 4, 700), (3, 4, 400), (4, 4, 300),
-                                                 (5, 3, 80), (6, 3, 24)])
+                                                 (5, 3, 80), (6, 3, 24), (2, 1, 40),
+                                                 (3, 2, 90), (7, 4, 100), (8, 4, 90)])
     def test_trajectory_equals_per_shot_updates(self, n, order, count, tmp_path):
         part = tuple(range(n // 2, n))
         record = stream_shadows(random_state(n, 20 + n), count, 5 + n)
@@ -158,8 +164,25 @@ class TestAccumulatorTrajectory:
             assert np.array_equal(defined, ~np.isnan(expected[lo:hi]))
             got.append(values)
         assert np.concatenate(got).tobytes() == expected.tobytes()
-        assert acc.matrices.tobytes() == final
+        assert accumulator_state(acc) == final
         assert acc.shots == count
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_top_trace_adds_increments_in_shot_order(self, n):
+        # A non-dyadic starting trace rounds at every add, so the block path
+        # keeps the per-shot bits only by adding each row's increment to it
+        # in shot order.
+        part = tuple(range(n // 2, n))
+        record = stream_shadows(random_state(n, 3), 150, 9)
+        start = complex(1000 * np.pi, -1000 * np.e)
+        expected, final = per_shot_reference(AccumulatorSet(3, part, n, top_trace=start), record)
+        acc = AccumulatorSet(3, part, n, top_trace=start)
+        values = np.concatenate(
+            [acc.trajectory(record.axes[lo:hi], record.bits[lo:hi], [1, 2, 3])[0]
+             for lo, hi in ragged_blocks(150, (7, 50))]
+        )
+        assert values.tobytes() == expected.tobytes()
+        assert accumulator_state(acc) == final
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_stream_trajectory_equals_update_and_estimates(self, strategy):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -382,11 +383,26 @@ class TestClosingShotFold:
         self.assert_fresh_sums_match(n, m, 8, seed=m, table=table, rounding=grouped)
 
 
+def assert_equals_dense(acc, mats):
+    """``acc`` holds the dense accumulators ``mats[:-1]`` bit for bit, and
+    its top order reads the trace of ``mats[-1]``: the running trace and the
+    estimate, ``imag_magnitude`` included."""
+    assert acc.matrices.tobytes() == mats[:-1].tobytes()
+    top = np.trace(mats[-1])
+    assert np.complex128(acc.top_trace).tobytes() == top.tobytes()
+    m = acc.order
+    if acc.shots >= m:
+        expected = complex(top) / math.comb(acc.shots, m)
+        est = acc.estimate(m)
+        assert (est.value, est.imag_magnitude) == (expected.real, abs(expected.imag))
+
+
 class TestAccumulatorSet:
     @pytest.mark.parametrize("n,part", [(2, PART), (3, (0, 2)), (4, (1, 3))])
     def test_bitwise_equal_to_kron_chain_updates(self, n, part):
         """Code-table updates reproduce the dense ``np.kron`` reference
-        updates bit for bit, zero signs included in every sum."""
+        updates bit for bit, zero signs included in every sum; the top
+        order's running trace is the trace of the dense top product."""
         # A Werner pair followed by maximally mixed qubits.
         pair = werner_state(2, 5.0 / 6.0).entries
         rho = DensityMatrix(functools.reduce(np.kron, [pair] + [np.eye(2) / 2] * (n - 2)))
@@ -401,7 +417,16 @@ class TestAccumulatorSet:
                 mats[k] += mats[k - 1] @ dense
             mats[0] += dense
             acc.update(snap)
-        assert acc.matrices.tobytes() == mats.tobytes()
+        assert_equals_dense(acc, mats)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_low_orders_need_no_products(self, order, record):
+        # Order 1 keeps no matrix and order 2 only S_1; the top trace is
+        # still the trace of the dense top product.
+        acc = accumulate(record[:30], order, PART)
+        assert acc.matrices.shape == (order - 1, 4, 4)
+        assert_equals_dense(acc, dense_products(record[:30], order, PART))
+        assert acc.estimate(1).value == 1.0
 
     def test_all_orders_match_offline(self, record):
         acc = AccumulatorSet(4, PART, 2)
@@ -431,11 +456,14 @@ class TestAccumulatorSet:
         with pytest.raises(UnsupportedOrderError):
             acc.estimate(0)
 
-    def test_memory_is_order_times_dense_matrix(self):
+    def test_memory_is_lower_orders_times_dense_matrix(self):
         acc = AccumulatorSet(5, PART, 2)
-        assert acc.matrices.shape == (5, 4, 4)
+        assert acc.matrices.shape == (4, 4, 4)
+        assert acc.top_trace == 0j
         with pytest.raises(ValueError):
             acc.matrices[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="shape"):
+            AccumulatorSet(5, PART, 2, matrices=np.zeros((5, 4, 4)))
 
     def test_dense_qubit_cap(self):
         with pytest.raises(CapacityError):
@@ -454,8 +482,26 @@ class TestAccumulatorSet:
         for snap in list(record)[20:45]:
             baseline.update(snap)
             resumed.update(snap)
-        assert np.array_equal(resumed.matrices, baseline.matrices)
-        assert resumed.estimate(3).value == baseline.estimate(3).value
+        assert resumed.matrices.tobytes() == baseline.matrices.tobytes()
+        assert resumed.top_trace == baseline.top_trace
+        assert resumed.estimate(3) == baseline.estimate(3)
+
+    def test_dense_checkpoint_loads_and_repacks_as_the_trace_kind(self, record, tmp_path):
+        # A kind-2 checkpoint holds all ``order`` matrices, the layout
+        # before the top order became a running trace.
+        head = shadowstream.estimators._STATE_HEADER.pack(b"SSES", 1, 2, 3, 2, 20)
+        blob = head + struct.pack("<HH", 1, *PART) + dense_products(record[:20], 3, PART).tobytes()
+        path = tmp_path / "dense.ckpt"
+        path.write_bytes(blob)
+        resumed = load_estimator_state(path)
+        prefix = accumulate(record[:20], 3, PART)
+        assert _pack_state(resumed) == _pack_state(prefix)
+        assert _pack_state(resumed)[6] == 3
+        for snap in list(record)[20:45]:
+            resumed.update(snap)
+        full = accumulate(record[:45], 3, PART)
+        assert _pack_state(resumed) == _pack_state(full)
+        assert [resumed.estimate(k) for k in (1, 2, 3)] == [full.estimate(k) for k in (1, 2, 3)]
 
     def test_snapshot_qubit_mismatch(self):
         acc = AccumulatorSet(2, PART, 2)
@@ -464,7 +510,8 @@ class TestAccumulatorSet:
 
 
 def dense_products(record, order, part):
-    """Accumulators built by the plain dense product ``mats[k-1] @ dense``."""
+    """All ``order`` accumulators built by the plain dense product
+    ``mats[k-1] @ dense``, the top one included."""
     dim = 2**record.n_qubits
     mats = np.zeros((order, dim, dim), dtype=np.complex128)
     for codes in snapshot_codes(record.axes, record.bits, part):
@@ -506,14 +553,14 @@ class TestFactoredUpdate:
         record = stream_shadows(werner_plus_mixed(n, t), 200, seed=100 + n)
         part = tuple(range(n // 2, n))
         acc = accumulate(record, 4, part)
-        assert acc.matrices.tobytes() == dense_products(record, 4, part).tobytes()
+        assert_equals_dense(acc, dense_products(record, 4, part))
 
     @pytest.mark.parametrize("n, shots", [(9, 6), (10, 3)])
     def test_short_streams_above_eight_qubits(self, n, shots):
         record = random_record(n, shots, seed=n)
         part = tuple(range(n // 2, n))
         acc = accumulate(record, 4, part)
-        assert acc.matrices.tobytes() == dense_products(record, 4, part).tobytes()
+        assert_equals_dense(acc, dense_products(record, 4, part))
 
     @pytest.mark.parametrize("factor_qubits", [1, 2, 3, 4])
     def test_any_block_split_gives_the_same_bytes(self, factor_qubits, monkeypatch):
@@ -521,7 +568,7 @@ class TestFactoredUpdate:
         record = random_record(5, 60, seed=factor_qubits)
         acc = accumulate(record, 4, (1, 4))
         assert len(acc._steps) == -(-5 // factor_qubits) - 1
-        assert acc.matrices.tobytes() == dense_products(record, 4, (1, 4)).tobytes()
+        assert_equals_dense(acc, dense_products(record, 4, (1, 4)))
 
     def test_online_recon_equals_offline_ustat(self):
         record = stream_shadows(werner_state(6, 0.6), 40, seed=61)
@@ -544,6 +591,7 @@ class TestFactoredUpdate:
         for snap in record[15:]:
             resumed.update(snap)
         assert resumed.matrices.tobytes() == full.matrices.tobytes()
+        assert resumed.top_trace == full.top_trace
         assert resumed.shots == full.shots == 40
 
 
@@ -644,6 +692,31 @@ class TestMomentStream:
             stream.update(snap)
         direct = batched_estimate(record[:30], 2, PART, n_batches=6)
         assert stream.estimates()[2].value == direct.value
+
+    @pytest.mark.parametrize("strategy", ["plugin", "batched"])
+    def test_dense_strategies_transpose_once_per_read(self, record, strategy, monkeypatch):
+        # Every order of a read shares one transposed mean (plugin) or one
+        # set of transposed batch means (batched), rebuilt after each block.
+        calls = []
+        transpose = shadowstream.estimators.partial_transpose
+        monkeypatch.setattr(
+            shadowstream.estimators,
+            "partial_transpose",
+            lambda *args: calls.append(1) or transpose(*args),
+        )
+        stream = MomentStream(strategy, (2, 3, 4), PART, 2, n_batches=5)
+        direct, transposes = {
+            "plugin": (lambda shots, m: plugin_estimate(shots, m, PART), 1),
+            "batched": (lambda shots, m: batched_estimate(shots, m, PART, 5), 5),
+        }[strategy]
+        for hi in (10, 11, 27):
+            stream.advance(record.axes[stream.shots : hi], record.bits[stream.shots : hi])
+            calls.clear()
+            estimates = stream.estimates()
+            stream.estimates()
+            assert len(calls) == transposes
+            for m in (2, 3, 4):
+                assert estimates[m] == direct(record[:hi], m)
 
 
 class TestCheckpointFormat:
@@ -776,11 +849,13 @@ class TestCheckpointDecoding:
             _pack_state(_RecordSums((0,), ShadowRecord(2), {2: 0j}))
 
     def test_zero_qubit_accumulators_are_rejected(self):
-        # Kind 2, order 2, N = 0, no shots, an empty part list and one 1x1
-        # matrix per order: an accumulator that no snapshot could update.
-        head = shadowstream.estimators._STATE_HEADER.pack(b"SSES", 1, 2, 2, 0, 0)
-        with pytest.raises(ValueError, match="qubit"):
-            _unpack_state(head + bytes(2) + bytes(32))
+        # Order 2, N = 0, no shots, an empty part list and one 1x1 matrix
+        # per order (kind 2) or per lower order plus the trace (kind 3): an
+        # accumulator that no snapshot could update.
+        for kind in (2, 3):
+            head = shadowstream.estimators._STATE_HEADER.pack(b"SSES", 1, kind, 2, 0, 0)
+            with pytest.raises(ValueError, match="qubit"):
+                _unpack_state(head + bytes(2) + bytes(32))
         with pytest.raises(ValueError, match="qubit"):
             AccumulatorSet(2, (), 0)
 
