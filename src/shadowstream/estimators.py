@@ -61,6 +61,7 @@ from .kernel import (
     CHAIN_TABLE_MAX,
     PairSum,
     Scratch,
+    _group_tables,
     _pt_codes,
     _transpose_mask,
     batch_code_traces,
@@ -203,11 +204,20 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
 
     Averages the trace kernel over every index subset ``t_1 < ... < t_m``
     of the record, so the result is an unbiased estimate of the m-th
-    moment.  Needs at least ``order`` shots.  At order 2 the pairs are
-    summed by BLAS dots (a :class:`PairSum`), which give the bits of the
-    sum in lexicographic order while ``C(T, 2) * 20**N <= 2**53`` (T up
-    to 335 544 at N = 4, 839 at N = 8) and stay within the rounding
-    bound of the :mod:`~shadowstream.kernel` docstring past that.
+    moment.  Needs at least ``order`` shots.
+
+    Up to ``CHAIN_TABLE_MAX`` the kernel is looked up in the layout the
+    record-only engine reads: the :func:`group_codes` of
+    :func:`group_width` qubits (two at orders 2 and 3, one from order 4),
+    every group's chain tables combined as :func:`closing_tables`
+    combines its folded ones.  The pairs of order 2 are summed by BLAS
+    dots (a :class:`PairSum`), higher orders over index blocks in
+    lexicographic order; past ``CHAIN_TABLE_MAX`` the 2x2 factor chains
+    are multiplied out.  The sum equals a per-qubit lookup in
+    lexicographic order bit for bit while ``C(T, m) *
+    CHAIN_NUMERATORS[m]**N <= 2**53`` (at order 2, T up to 335 544 at N =
+    4 and 839 at N = 8) and stays within the rounding bound of the
+    :mod:`~shadowstream.kernel` docstring past that.
     """
     _check_order(order)
     shots = len(record)
@@ -218,9 +228,10 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     codes = snapshot_codes(record.axes, record.bits, part)
     tables = None
     if order <= CHAIN_TABLE_MAX:
-        # The same chain table for every qubit, laid out once for the gathers.
-        tables = np.tile(chain_trace_table(order), (record.n_qubits, 1))
-        tables = tables.reshape((record.n_qubits,) + (6,) * order)
+        width = group_width(order, record.n_qubits)
+        per_qubit = np.broadcast_to(chain_trace_table(order), (record.n_qubits, 6**order))
+        tables = _group_tables(per_qubit, order, width)
+        codes = group_codes(codes, width)
     total = _kernel_sum(codes, order, tables)
     return _finish(order, shots, total / math.comb(shots, order))
 
@@ -283,7 +294,11 @@ def _batch_means(record: ShadowRecord, part, n_batches: int) -> tuple[np.ndarray
 
 
 def _batched_moment(batches: tuple[np.ndarray, int], order: int, shots: int) -> MomentEstimate:
-    """The order-m batched estimate from :func:`_batch_means`."""
+    """The order-m batched estimate from :func:`_batch_means`, summed per
+    block of :func:`subset_index_chunks`.  From 363 batches on (``C(363,
+    2) > 2**16``) the pairs fill several blocks, cut every ``2**16``
+    pairs; versions that cut them at whole first indices can give other
+    last bits there."""
     means, dropped = batches
     total = 0.0 + 0.0j
     for chunk in subset_index_chunks(len(means), order):
@@ -524,14 +539,16 @@ class AccumulatorSet:
     + 16`` bytes.
 
     An update transposes the snapshot on its codes (a Y-basis bit flips
-    on each transposed qubit, as in :func:`snapshot_codes`) and splits
-    them into the fewest near-equal blocks of at most ``FACTOR_QUBITS``
-    qubits; :func:`codes_matrix` builds each block's dense factor, so the
-    snapshot is ``F_1 ⊗ ... ⊗ F_b``.  A product ``M @ (A ⊗ C)`` is then
-    one gemm against the right factor, ``M.reshape(-1, c) @ C``, and one
-    batched ``A.T @`` over the ``(d, a, c)`` view of the result, costing
-    ``d**2 * (a + c)`` multiply-adds instead of ``d**3`` (``d = a * c =
-    2**N``); with one block it is the plain ``M @ dense``.  The trace
+    on each transposed qubit, as in :func:`snapshot_codes`).  Past
+    ``FACTOR_QUBITS`` qubits it splits them in two, and
+    :func:`codes_matrix` builds the dense factor ``A`` of the first
+    ``ceil(N / 2)`` qubits and ``C`` of the rest, so the snapshot is ``A ⊗
+    C``; the dense qubit cap, ``2 * FACTOR_QUBITS``, never needs a third.
+    A product ``M @ (A ⊗ C)`` is then one gemm against the right factor,
+    ``M.reshape(-1, c) @ C``, and one batched ``A.T @`` over the ``(d, a,
+    c)`` view of the result, costing ``d**2 * (a + c)`` multiply-adds
+    instead of ``d**3`` (``d = a * c = 2**N``); up to ``FACTOR_QUBITS``
+    qubits it is the plain ``M @ dense``.  The trace
     increment is one pass over the dense ``R`` that ``S_1 += R`` needs
     anyway (:func:`_trace_products`).
 
@@ -572,25 +589,12 @@ class AccumulatorSet:
         self._matrices = matrices
         self._trace = complex(top_trace)
         self._shots = int(shots)
-        # The fewest near-equal qubit blocks of at most FACTOR_QUBITS, the
-        # leading ones one qubit larger.  The last block's factor multiplies
-        # the ``(rows, c)`` view of an accumulator; each leading block,
-        # innermost first, then contracts its axis of the ``(batch, f,
-        # rest)`` view it is paired with.
-        blocks = -(-n_qubits // FACTOR_QUBITS) or 1
-        sizes = [n_qubits // blocks + (i < n_qubits % blocks) for i in range(blocks)]
-        edges = [sum(sizes[:i]) for i in range(blocks + 1)]
-        widths = [2**size for size in sizes]
-        self._last = slice(edges[-2], n_qubits)
-        self._steps = [
-            (
-                slice(edges[i], edges[i + 1]),
-                (dim * math.prod(widths[:i]), widths[i], math.prod(widths[i + 1 :])),
-            )
-            for i in range(blocks - 2, -1, -1)
-        ]
-        self._rows = matrices.reshape(order - 1, dim * dim // widths[-1], widths[-1])
-        self._sums = matrices.reshape(order - 1, *(self._steps[-1][1] if self._steps else (dim, dim)))
+        # The qubits of A (none up to FACTOR_QUBITS); C multiplies the
+        # ``(rows, c)`` view of an accumulator, A.T the ``(d, a, c)`` view.
+        self._split = -(-n_qubits // 2) if n_qubits > FACTOR_QUBITS else 0
+        left, right = 2**self._split, 2 ** (n_qubits - self._split)
+        self._rows = matrices.reshape(order - 1, dim * left, right)
+        self._sums = matrices.reshape(order - 1, dim, left, right) if self._split else matrices
 
     @property
     def order(self) -> int:
@@ -629,21 +633,17 @@ class AccumulatorSet:
 
     def _absorb(self, codes: np.ndarray) -> None:
         """One shot's update from its transposed codes."""
-        last = codes_matrix(codes[self._last])
-        # With one block (N <= FACTOR_QUBITS) no factor list is built at all.
-        steps = self._steps and [
-            (codes_matrix(codes[block]), shape) for block, shape in self._steps
-        ]
-        dense = last
-        for factor, _ in steps:
-            dense = _kron(factor, dense)
+        split = self._split
+        right = codes_matrix(codes[split:])
+        left = codes_matrix(codes[:split]) if split else None
+        dense = right if left is None else _kron(left, right)
         top = self._matrices[-1:] if self._m > 1 else None
         self._trace += _trace_products(top, dense[None])[0]
         rows, sums = self._rows, self._sums
         for k in range(self._m - 2, 0, -1):
-            prod = rows[k - 1] @ last
-            for factor, shape in steps:
-                prod = np.matmul(factor.T, prod.reshape(shape))
+            prod = rows[k - 1] @ right
+            if left is not None:
+                prod = np.matmul(left.T, prod.reshape(sums.shape[1:]))
             sums[k] += prod
         if self._m > 1:
             self._matrices[0] += dense
@@ -681,7 +681,7 @@ class AccumulatorSet:
         codes = _pt_codes(axes, bits, self._mask)
         rows = len(codes)
         traces = np.empty((rows, self._m), dtype=np.complex128)
-        if self._steps:
+        if self._split:
             for i, row in enumerate(codes):
                 self._absorb(row)
                 for k in range(self._m - 1):

@@ -23,14 +23,15 @@ The record-only estimator adds each new shot's subsets, all of which end
 in that shot.  It folds the shot's codes into the chain tables once
 (:func:`closing_tables`) and looks up only the earlier members; runs of
 qubits share one lookup through combined codes (:func:`group_codes`,
-:func:`group_width` of them).  A set of pairs (those of the past that an
-order-3 shot closes, and the order-2 U-statistic's) is summed by a
-:class:`PairSum`: each code column's closing columns (its table at the
-later shots' codes) are gathered at the first shots' codes, a tile of
-first indices by a column block of later shots at a time, and one BLAS
-dot sums the tile.  Every other subset comes as the index blocks of
-:func:`subset_index_chunks`, whose lookup keys give every value in
-lexicographic order.
+:func:`group_width` of them).  The offline U-statistic reads whole tuples
+in the same groups, its chain tables grouped by the same step.  A set of
+pairs (those of the past that an order-3 shot closes, and the order-2
+U-statistic's) is summed by a :class:`PairSum`: each code column's
+closing columns (its table at the later shots' codes) are gathered at
+the first shots' codes, a tile of first indices by a column block of
+later shots at a time, and one BLAS dot sums the tile.  Every other
+subset comes as the index blocks of :func:`subset_index_chunks`, whose
+lookup keys give every value in lexicographic order.
 
 Chain traces are dyadic (see ``CHAIN_NUMERATORS``), so while every
 partial product and partial sum of a kernel sum fits in 53 bits, no
@@ -50,11 +51,10 @@ matrices; it is the one independent cross-check of the direct path.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -378,49 +378,44 @@ def group_codes(codes: np.ndarray, width: int) -> np.ndarray:
     return padded.reshape(shots, groups, width) @ 6 ** np.arange(width - 1, -1, -1, dtype=np.uint16)
 
 
-_GATHERS: dict[tuple[int, int, int], np.ndarray] = {}
+def _group_tables(tables: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Per-qubit ``(..., N, 6**k)`` tables of k-tuples as
+    :func:`batch_code_traces` tables over the :func:`group_codes` of
+    ``width`` qubits, ``(..., ceil(N / width), 6**width, ..., 6**width)``.
 
-
-def _group_gathers(k: int, width: int, n_qubits: int) -> np.ndarray:
-    """``(width, groups, 6**(k * width))`` indices into the flattened
-    ``(n_qubits + 1, 6**k)`` stack of folded tables, the last row ones:
-    entry ``[p, g, key]`` is where qubit p of group g finds its chain
-    trace for the group key whose base-6 digit ``(j, p)`` is that
-    qubit's code at tuple position j.  Padding qubits read the ones."""
-    gathers = _GATHERS.get((k, width, n_qubits))
-    if gathers is None:
-        digits = np.indices((6,) * (k * width)).reshape(k, width, -1)
-        keys = np.tensordot(6 ** np.arange(k - 1, -1, -1), digits, axes=1)
-        groups = -(-n_qubits // width)
-        qubits = np.minimum(np.arange(groups * width), n_qubits).reshape(groups, width)
-        gathers = qubits.T[:, :, None] * 6**k + keys[:, None, :]
-        gathers.setflags(write=False)
-        _GATHERS[k, width, n_qubits] = gathers
-    return gathers
+    A group's table is the outer product of its qubits' tables, multiplied
+    left to right: axis ``(j, p)`` of its ``(6,) * (k * width)`` view is
+    qubit p's code at tuple position j, the base-6 digits of the group key
+    at position j.  The padding qubits of a short last group contribute
+    ones.
+    """
+    lead, n_qubits = tables.shape[:-2], tables.shape[-2]
+    groups = -(-n_qubits // width)
+    if n_qubits % width:
+        padded = np.ones(lead + (groups * width, 6**k), dtype=np.complex128)
+        padded[..., :n_qubits, :] = tables
+        tables = padded
+    qubits = tables.reshape(lead + (groups, width) + (6,) * k)
+    grouped = None
+    for p in range(width):
+        spread = tuple(6 if axis % width == p else 1 for axis in range(k * width))
+        factor = qubits[(..., p) + (slice(None),) * k].reshape(lead + (groups,) + spread)
+        grouped = factor if grouped is None else grouped * factor
+    return grouped.reshape(lead + (groups,) + (6**width,) * k)
 
 
 def closing_tables(order: int, last: np.ndarray, width: int) -> np.ndarray:
     """:func:`batch_code_traces` tables for ``(order - 1)``-tuples closed
-    by one fixed shot with per-qubit codes ``last``; a stack of them for a
-    ``(..., N)`` stack of shots.
+    by one fixed shot with per-qubit codes ``last``, over the
+    :func:`group_codes` of ``width`` qubits; a stack of them for a ``(...,
+    N)`` stack of shots.
 
     Qubit q's folded table ``chain_trace_table(order).reshape(-1, 6)[:,
-    last[q]]`` holds the traces of every chain that ends in that shot.  A
-    group's table, over the :func:`group_codes` of ``width`` qubits, is
-    the outer product of its qubits' folded tables, multiplied left to
-    right; the padding qubits of a short last group contribute ones.
+    last[q]]`` holds the traces of every chain that ends in that shot, and
+    :func:`_group_tables` combines the folded tables of each group.
     """
-    k, lead, n_qubits = order - 1, last.shape[:-1], last.shape[-1]
-    folded = np.ones(lead + (n_qubits + 1, 6**k), dtype=np.complex128)
-    folded[..., :n_qubits, :] = chain_trace_table(order).reshape(-1, 6).T[last]
-    if width == 1:
-        return folded[..., :n_qubits, :].reshape(lead + (n_qubits,) + (6,) * k)
-    gathers = _group_gathers(k, width, n_qubits)
-    flat = folded.reshape(lead + (-1,))
-    tables = flat.take(gathers[0], axis=-1)
-    for p in range(1, width):
-        tables *= flat.take(gathers[p], axis=-1)
-    return tables.reshape(lead + (gathers.shape[1],) + (6**width,) * k)
+    folded = chain_trace_table(order).reshape(-1, 6).T[last]
+    return _group_tables(folded, order - 1, width)
 
 
 def batch_tuple_traces(
@@ -460,13 +455,15 @@ def batch_tuple_traces(
 def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndarray]:
     """Yield the k-subsets of ``range(n)`` in lexicographic order, in blocks.
 
-    Each block is an ``(r, k)`` int64 array.  Sizes 1 and 2 are built
-    directly in numpy since those dominate streaming updates; larger
-    sizes fall back to ``itertools.combinations``.  Block boundaries
-    depend only on ``(n, k, rows)``, which fixes the reduction order of
-    sums taken block by block.  ``rows`` below 1 raises ``ValueError``.
+    Each block is an ``(r, k)`` int64 array of ``rows`` subsets, the last
+    one shorter.  Single indices are built directly in numpy, since the
+    order-2 closings of a record-only update read them; larger sizes come
+    from ``itertools.combinations``.  Block boundaries depend only on
+    ``(n, k, rows)``, which fixes the reduction order of sums taken block
+    by block.  ``rows`` below 1 raises ``ValueError``.
     """
-    _check_rows(rows)
+    if rows < 1:
+        raise ValueError(f"blocks need at least one row, got rows={rows}")
     if k < 0 or k > n:
         return
     if k == 0:
@@ -475,20 +472,6 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
     if k == 1:
         for lo in range(0, n, rows):
             yield np.arange(lo, min(lo + rows, n), dtype=np.int64)[:, None]
-        return
-    if k == 2:
-        for first, last, size in _pair_spans(n, rows):
-            groups = np.arange(first, last + 1, dtype=np.int64)
-            counts = n - 1 - groups
-            block = np.empty((size, 2), dtype=np.int64)
-            block[:, 0] = np.repeat(groups, counts)
-            # Group i starts at row starts[i] of the block and its second
-            # index runs from i + 1 upward.  Written in place, so the paused
-            # generator holds no block-sized temporaries.
-            starts = np.cumsum(counts) - counts
-            block[:, 1] = np.arange(size, dtype=np.int64)
-            block[:, 1] += np.repeat(groups + 1 - starts, counts)
-            yield block
         return
     iterator = itertools.combinations(range(n), k)
     while True:
@@ -511,26 +494,6 @@ class PairSum:
 
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2
-
-
-def _check_rows(rows: int) -> None:
-    if rows < 1:
-        raise ValueError(f"blocks need at least one row, got rows={rows}")
-
-
-def _pair_spans(n: int, rows: int) -> Iterator[tuple[int, int, int]]:
-    """``(first, last, pairs)`` of each pair block of ``range(n)``: pairs
-    are grouped by first index, and a block ends with the first whole
-    group that brings it to at least ``rows`` pairs."""
-
-    def ends(i: int) -> int:  # the pairs whose first index is at most i
-        return (i + 1) * (n - 1) - i * (i + 1) // 2
-
-    first, done = 0, 0
-    while first < n - 1:
-        last = min(max(bisect.bisect_left(range(n - 1), done + rows, key=ends), first), n - 2)
-        yield first, last, ends(last) - done
-        first, done = last + 1, ends(last)
 
 
 def _tuple_fields(snapshots: Sequence[Snapshot]):

@@ -100,11 +100,18 @@ _FORMAT_VERSION = 1
 
 
 def _int_set(name: str, values) -> tuple[int, ...]:
-    """The sorted distinct integers of a list-valued config field."""
+    """The sorted distinct integers of a list-valued config field.  A
+    string, a bool or a number that is not an integer type raises
+    ``ValueError``, as in ``"23"``, ``[True, 2]`` or ``[2.7, 3]``."""
     try:
-        return tuple(sorted(set(int(v) for v in values)))
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a list of integers, got {values!r}") from None
+        entries = list(values) if not isinstance(values, (str, bytes)) else None
+    except TypeError:
+        entries = None
+    if entries is None or not all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in entries
+    ):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(sorted(set(int(v) for v in entries)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
@@ -885,13 +892,14 @@ def _check_online_equals_offline() -> tuple[bool, str]:
     from .estimators import AccumulatorSet, OnlineRecordEstimator, ustat_offline
     from .sampler import ShadowRecord
 
-    # Two-qubit records, then a four-qubit one, where order 3 looks its
-    # qubits up in two groups of two, against both streaming forms at
+    # Two-qubit records, then a four-qubit one, where orders 2 and 3 look
+    # their qubits up in two groups of two, against both streaming forms at
     # orders 2 and 3, and against the accumulators alone at order 4 (a
-    # running top-order trace over two lower matrices); then random
-    # ten-qubit shots, past the qubit counts where every partial product
-    # and sum is exact, against the record-only form alone (its
-    # accumulators would be 1024 x 1024).
+    # running top-order trace over two lower matrices); random five-qubit
+    # shots, whose last group is padded, against both forms at orders 2
+    # and 3; then random ten-qubit shots, past the qubit counts where every
+    # partial product and sum is exact, against the record-only form alone
+    # (its accumulators would be 1024 x 1024).
     both = (OnlineRecordEstimator, AccumulatorSet)
     cases = []
     for n, part, seed in ((2, (1,), 3), (2, (1,), 11), (4, (2, 3), 5)):
@@ -900,6 +908,8 @@ def _check_online_equals_offline() -> tuple[bool, str]:
         cases.append((record, part, 4, (AccumulatorSet,)))
     rng = np.random.default_rng(7)
     wide = ShadowRecord.from_arrays(rng.integers(0, 3, (30, 10)), rng.integers(0, 2, (30, 10)))
+    odd = ShadowRecord.from_arrays(rng.integers(0, 3, (30, 5)), rng.integers(0, 2, (30, 5)))
+    cases += [(odd, (3, 4), m, both) for m in (2, 3)]
     cases += [(wide, (5, 6, 7, 8, 9), m, (OnlineRecordEstimator,)) for m in (2, 3)]
     worst = 0.0
     for record, part, m, forms in cases:

@@ -35,6 +35,7 @@ from shadowstream import (
 )
 from shadowstream.estimators import _pack_state, _RecordSums, _unpack_state
 from shadowstream.kernel import (
+    CHAIN_NUMERATORS,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -100,12 +101,7 @@ class TestOfflineUstat:
         # in lexicographic order.
         record = random_record(n, shots, seed=n + shots)
         part = tuple(range(0, n, 2))
-        codes = snapshot_codes(record.axes, record.bits, part)
-        tables = np.broadcast_to(chain_trace_table(2).reshape(6, 6), (n, 6, 6))
-        total = 0.0 + 0.0j
-        for chunk in subset_index_chunks(shots, 2):
-            total += batch_code_traces(codes, chunk, tables).sum()
-        want = np.complex128(total / math.comb(shots, 2))
+        want = np.complex128(per_qubit_index_sum(record, 2, part) / math.comb(shots, 2))
         seen = set()
         evaluate = shadowstream.estimators.batch_code_traces
 
@@ -118,6 +114,58 @@ class TestOfflineUstat:
         assert seen == {"PairSum"}
         assert np.float64(got.value).tobytes() == want.real.tobytes()
         assert np.float64(got.imag_magnitude).tobytes() == abs(want.imag).tobytes()
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    def test_grouped_lookup_equals_per_qubit_index_blocks(self, n, order):
+        # Orders 2 and 3 look up two-qubit groups (odd N pads the last one)
+        # and give the per-qubit bytes while every partial product and sum
+        # is exact; from order 4 the groups are single qubits.
+        shots = {2: 60, 3: 30, 4: 14, 5: 11, 6: 10}[order]
+        if order < 4:
+            assert math.comb(shots, order) * CHAIN_NUMERATORS[order] ** n <= 2**53
+        else:
+            assert group_width(order, n) == 1
+        record = random_record(n, shots, seed=10 * n + order)
+        part = tuple(range(0, n, 2))
+        want = np.complex128(per_qubit_index_sum(record, order, part) / math.comb(shots, order))
+        got = ustat_offline(record, order, part)
+        assert np.float64(got.value).tobytes() == want.real.tobytes()
+        assert np.float64(got.imag_magnitude).tobytes() == abs(want.imag).tobytes()
+
+    @pytest.mark.parametrize("order, shots", [(2, 200), (3, 40)])
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_grouped_lookup_within_the_rounding_bound(self, n, order, shots):
+        # Past the exact range the grouped and per-qubit lookups may round
+        # differently; each sum is within gamma(3 * (K + N)) * S of the
+        # exact one, K subsets and S the sum over the tables' moduli.
+        record = random_record(n, shots, seed=n + order)
+        part = tuple(range(0, n, 2))
+        comb = math.comb(shots, order)
+        assert comb * CHAIN_NUMERATORS[order] ** n > 2**53
+        want = per_qubit_index_sum(record, order, part) / comb
+        moduli = per_qubit_index_sum(record, order, part, moduli=True).real / comb
+        got = ustat_offline(record, order, part)
+        k = 3 * (comb + n) * 2.0**-53
+        # Twice the bound, plus one rounding of each quotient.
+        tolerance = (2 * k / (1 - k) + 2 * 2.0**-53) * moduli
+        assert abs(got.value - want.real) <= tolerance
+        assert abs(got.imag_magnitude - abs(want.imag)) <= tolerance
+
+
+def per_qubit_index_sum(record, order, part, moduli=False) -> complex:
+    """The order-``order`` kernel summed over index blocks in lexicographic
+    order, every qubit's code looked up on its own in the chain table (its
+    moduli, with ``moduli``)."""
+    codes = snapshot_codes(record.axes, record.bits, part)
+    table = chain_trace_table(order)
+    if moduli:
+        table = np.abs(table) + 0j
+    tables = np.broadcast_to(table.reshape((6,) * order), (record.n_qubits,) + (6,) * order)
+    total = 0.0 + 0.0j
+    for chunk in subset_index_chunks(len(record), order):
+        total += batch_code_traces(codes, chunk, tables).sum()
+    return total
 
 
 class TestPlugin:
@@ -562,12 +610,13 @@ class TestFactoredUpdate:
         acc = accumulate(record, 4, part)
         assert_equals_dense(acc, dense_products(record, 4, part))
 
-    @pytest.mark.parametrize("factor_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("factor_qubits", [1, 2, 3, 4, 5])
     def test_any_block_split_gives_the_same_bytes(self, factor_qubits, monkeypatch):
+        # Past FACTOR_QUBITS the five qubits split as 3 + 2, else not at all.
         monkeypatch.setattr(shadowstream.estimators, "FACTOR_QUBITS", factor_qubits)
         record = random_record(5, 60, seed=factor_qubits)
         acc = accumulate(record, 4, (1, 4))
-        assert len(acc._steps) == -(-5 // factor_qubits) - 1
+        assert acc._split == (3 if factor_qubits < 5 else 0)
         assert_equals_dense(acc, dense_products(record, 4, (1, 4)))
 
     def test_online_recon_equals_offline_ustat(self):

@@ -131,6 +131,26 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_dict(payload).validated()
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"orders": "23"}, "orders"),
+            ({"transposed": "1"}, "transposed"),
+            ({"orders": [True, 2]}, "orders"),
+            ({"orders": [2.7, 3]}, "orders"),
+            ({"orders": [2, "3"]}, "orders"),
+            ({"transposed": [1.0]}, "transposed"),
+            ({"tolerance": json.loads("NaN")}, "tolerance"),
+        ],
+    )
+    def test_malformed_integer_lists_and_nan_tolerance(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(payload).validated()
+
+    def test_numpy_integers_are_integers(self):
+        config = ExperimentConfig.from_dict({"orders": [np.int64(3), np.int32(2)]}).validated()
+        assert config.orders == (2, 3)
+
     def test_every_stream_strategy_validates(self):
         for name in ("ustat", "plugin", "batched", "online-norecon", "online-recon"):
             assert small_config(strategies=(name,)).validated().strategies == (name,)
