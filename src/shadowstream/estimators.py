@@ -28,23 +28,25 @@ memory / cost / bias plane:
     at every T, multiplying by the snapshot's Kronecker factors, and give
     the same value as the offline U-statistic at every order up to m.
 
-:class:`MomentStream` puts one strategy behind one interface.  A
+:class:`MomentStream` puts one strategy behind one interface.  It
+checks each ``(B, N)`` block of shots and encodes it once with
+:func:`snapshot_codes`, whose bit flips are the partial transpose, so no
+strategy transposes a matrix or carries the transposed qubits.  A
 strategy is an object built by the factory that ``_STRATEGIES`` maps its
-name to, with four members: a ``streaming`` flag, ``advance(axes,
-bits)``, which absorbs a checked ``(B, N)`` block of shots,
-``trajectory(axes, bits, orders)``, which absorbs one and returns the
-estimates of ``orders`` after each row as arrays, and
-``estimate(order)``.  ``online-recon`` is an :class:`AccumulatorSet`
-(stacked products per block); ``online-norecon`` a ``_RecordSums`` (one
-shared record written and encoded once per block, one running sum per
-order; the engine of :class:`OnlineRecordEstimator`); ``ustat`` a
-``_PacedRecordSums`` (``_RecordSums`` read only at checkpoints);
-``plugin`` a ``_PluginSum`` (the engine of :func:`plugin_estimate`); and
-``batched`` a ``_RetainedRecord`` that evaluates :func:`batched_estimate`
-from batch means built once per read.
+name to, with four members: a ``streaming`` flag, ``advance(codes)``,
+which absorbs a block of transposed codes, ``trajectory(codes,
+orders)``, which absorbs one and returns the estimates of ``orders``
+after each row as arrays, and ``estimate(order)``.  ``online-recon`` is
+an :class:`AccumulatorSet` (stacked products per block);
+``online-norecon`` a ``_RecordSums`` (the codes written once per block,
+one running sum per order; the engine of :class:`OnlineRecordEstimator`);
+``ustat`` a ``_PacedRecordSums`` (``_RecordSums`` read only at
+checkpoints); ``plugin`` a ``_PluginSum`` (the engine of
+:func:`plugin_estimate`); and ``batched`` a ``_RetainedRecord`` that
+evaluates :func:`batched_estimate` from batch means built once per read.
 The last two read their trajectory row by row.  A :class:`Snapshot` is a
 boundary type only: the per-shot ``update`` methods check its qubit
-count and advance by it as a one-row block.
+count and advance by its codes as a one-row block.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ from .kernel import (
     PairSum,
     Scratch,
     _group_tables,
-    _pt_codes,
-    _transpose_mask,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -80,11 +80,10 @@ from .sampler import (
     Snapshot,
     _coerce_block,
     _kron,
-    codes_matrices,
     codes_matrix,
     snapshot_matrix,  # unused here, but perfbench/layers.py wraps estimators.snapshot_matrix
 )
-from .states import _check_qubit_count, _part_qubits, partial_transpose
+from .states import _check_qubit_count, _part_qubits
 
 __all__ = [
     "MomentEstimate",
@@ -248,8 +247,8 @@ def plugin_estimate(record: ShadowRecord, order: int, part) -> MomentEstimate:
         raise InsufficientDataError("the plug-in estimate needs at least one shot")
     if order == 1:
         return MomentEstimate(1, shots, 1.0, True)
-    plugin = _PluginSum(part, record.n_qubits)
-    plugin.advance(record.axes, record.bits)
+    plugin = _PluginSum(record.n_qubits)
+    plugin.advance(snapshot_codes(record.axes, record.bits, part))
     return plugin.estimate(order)
 
 
@@ -268,28 +267,27 @@ def batched_estimate(record: ShadowRecord, order: int, part, n_batches: int) -> 
             f"batched estimation of order {order} needs at least {order} batches, "
             f"got {n_batches}"
         )
-    return _batched_moment(_batch_means(record, part, n_batches), order, len(record))
+    codes = snapshot_codes(record.axes, record.bits, part)
+    return _batched_moment(_batch_means(codes, n_batches), order, len(record))
 
 
-def _batch_means(record: ShadowRecord, part, n_batches: int) -> tuple[np.ndarray, int]:
+def _batch_means(codes: np.ndarray, n_batches: int) -> tuple[np.ndarray, int]:
     """The partially transposed mean snapshots of ``n_batches`` equal
-    contiguous batches of the record, and the number of trailing shots
-    dropped; every order's batched estimate reads the same means."""
-    shots = len(record)
+    contiguous batches of ``(T, N)`` transposed codes, and the number of
+    trailing shots dropped; every order's batched estimate reads the same
+    means."""
+    shots = len(codes)
     batch = shots // n_batches
     if batch < 1:
         raise InsufficientDataError(
             f"{shots} shots cannot fill {n_batches} batches"
         )
     dropped = shots - batch * n_batches
-    dim = 2**record.n_qubits
+    dim = 2 ** codes.shape[1]
     means = np.zeros((n_batches, dim, dim), dtype=np.complex128)
-    used = shots - dropped
-    for t, codes in enumerate(2 * record.axes[:used] + record.bits[:used]):
-        means[t // batch] += codes_matrix(codes)
+    for t, row in enumerate(codes[: shots - dropped].tolist()):
+        means[t // batch] += codes_matrix(row)
     means /= batch
-    for b in range(n_batches):
-        means[b] = partial_transpose(means[b], part)
     return means, dropped
 
 
@@ -310,12 +308,11 @@ class _RecordSums:
     """Streaming U-statistics of several orders over one retained record.
 
     ``sums`` maps each order m to the running sum of the kernel over all
-    m-subsets of the record; a new shot adds the subsets it closes.  A
-    ``(B, N)`` block of shots (``advance`` and ``trajectory``) goes into
-    the record with one write.  The shots appended since the previous
-    call (the whole record after a restore) are then encoded at once, so
-    every shot is encoded once, and each encoded shot's
-    :func:`group_codes` are kept beside its codes.
+    m-subsets of the record; a new shot adds the subsets it closes.  The
+    record is kept only as transposed codes: ``codes`` (a restored
+    record's, whose subsets ``sums`` already hold) and each ``(B, N)``
+    block that ``advance`` and ``trajectory`` take go in with one write,
+    each shot's :func:`group_codes` beside its codes.
 
     The new shot is the last member of every subset it closes, so an
     order-m update folds its codes into the chain tables once
@@ -347,55 +344,57 @@ class _RecordSums:
 
     streaming = True
 
-    def __init__(self, part: tuple[int, ...], record: ShadowRecord, sums: dict[int, complex]):
-        self.record = record
+    def __init__(self, n_qubits: int, sums: dict[int, complex], codes: np.ndarray | None = None):
+        if n_qubits < 1:
+            raise ValueError(f"need at least one qubit, got {n_qubits}")
         self.sums = sums
-        self._part = part
-        n_qubits = record.n_qubits
         self._widths = {m: group_width(m, n_qubits) for m in sums if m <= CHAIN_TABLE_MAX}
         self._codes = np.empty((0, n_qubits), dtype=np.uint8)
         self._grouped = {
             g: np.empty((0, -(-n_qubits // g)), dtype=np.uint16)
             for g in set(self._widths.values()) - {1}
         }
-        self._encoded = 0
+        self._shots = 0
         self._scratch = Scratch()
+        if codes is not None:
+            self._store(codes)
 
-    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """Absorb the rows of checked ``(B, N)`` axes and bits."""
-        self.record._append_rows(axes, bits)
-        self._close(len(self.record) - len(axes))
+    def advance(self, codes: np.ndarray) -> None:
+        """Absorb the rows of ``(B, N)`` transposed codes."""
+        self._close(self._store(codes))
 
-    def trajectory(
-        self, axes: np.ndarray, bits: np.ndarray, orders
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Absorb the rows of checked ``(B, N)`` axes and bits; return the
+    def trajectory(self, codes: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb the rows of ``(B, N)`` transposed codes; return the
         estimates of ``orders`` after each row as ``(values, defined)``,
         both ``(B, len(orders))``.  ``sums / C(t, m)`` is numpy's complex
         division, as the per-shot ``estimate`` of a ``complex128`` sum is,
         so every value equals it bit for bit."""
-        start = len(self.record)
-        self.record._append_rows(axes, bits)
+        start = self._store(codes)
         sums = self._close(start, orders)
-        defined, combs = _defined_combs(np.arange(start + 1, len(self.record) + 1), orders)
+        defined, combs = _defined_combs(np.arange(start + 1, self._shots + 1), orders)
         values = (sums / combs).real
         values[~defined] = np.nan
         return values, defined
 
-    def _close(self, start: int, orders=()) -> np.ndarray:
-        """Encode the unencoded shots and add the subsets closed by each shot
-        from ``start`` on; return the running sums of ``orders`` after each
-        of those shots, ``(shots, len(orders))``."""
-        done, total = self._encoded, len(self.record)
+    def _store(self, codes: np.ndarray) -> int:
+        """Append ``(B, N)`` transposed codes and their group codes; return
+        the index of the first new shot."""
+        done, total = self._shots, self._shots + len(codes)
         if total > self._codes.shape[0]:
             self._codes = _grown(self._codes, done, total)
             for g, grouped in self._grouped.items():
                 self._grouped[g] = _grown(grouped, done, total)
-        fresh_codes = snapshot_codes(self.record.axes[done:], self.record.bits[done:], self._part)
-        self._codes[done:total] = fresh_codes
+        self._codes[done:total] = codes
         for g, grouped in self._grouped.items():
-            grouped[done:total] = group_codes(fresh_codes, g)
-        self._encoded = total
+            grouped[done:total] = group_codes(codes, g)
+        self._shots = total
+        return done
+
+    def _close(self, start: int, orders=()) -> np.ndarray:
+        """Add the subsets closed by each stored shot from ``start`` on;
+        return the running sums of ``orders`` after each of those shots,
+        ``(shots, len(orders))``."""
+        total = self._shots
         sums = np.empty((total - start, len(orders)), dtype=np.complex128)
         for lo in range(start, total, _TABLE_SHOTS):
             shots = range(lo, min(lo + _TABLE_SHOTS, total))
@@ -423,17 +422,17 @@ class _RecordSums:
         return _kernel_sum(codes, m - 1, tables, scratch=self._scratch)
 
     def estimate(self, order: int) -> MomentEstimate:
-        shots = len(self.record)
+        shots = self._shots
         if shots < order:
             return _undefined(order, shots)
         return _finish(order, shots, self.sums[order] / math.comb(shots, order))
 
 
-def _one_row(snapshot: Snapshot, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """A snapshot of ``n_qubits`` qubits as a one-row block of axes and bits."""
+def _row_codes(snapshot: Snapshot, n_qubits: int, part) -> np.ndarray:
+    """A snapshot of ``n_qubits`` qubits as a one-row block of transposed codes."""
     if snapshot.n_qubits != n_qubits:
         raise ValueError(f"snapshot has {snapshot.n_qubits} qubits, expected {n_qubits}")
-    return snapshot.axes[None], snapshot.bits[None]
+    return snapshot_codes(snapshot.axes[None], snapshot.bits[None], part)
 
 
 def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
@@ -456,6 +455,11 @@ class OnlineRecordEstimator:
     no partial sum rounds (see ``_RecordSums``), within the rounding
     bound of the :mod:`~shadowstream.kernel` docstring past that.  Work
     per pair, state still O(T * N).
+
+    The estimator keeps its :class:`ShadowRecord` for ``record`` and for
+    checkpoints; its ``_RecordSums`` engine reads transposed codes, a
+    resumed record's encoded once here and each ``update``'s shot as it
+    arrives.
     """
 
     _state_kind = _KIND_RECORD
@@ -476,7 +480,9 @@ class OnlineRecordEstimator:
         self._m = order
         self._n = n_qubits
         self._part = _part_qubits(part, n_qubits)
-        self._sums = _RecordSums(self._part, record, {order: complex(running_sum)})
+        self._record = record
+        codes = snapshot_codes(record.axes, record.bits, self._part) if len(record) else None
+        self._sums = _RecordSums(n_qubits, {order: complex(running_sum)}, codes)
 
     @property
     def order(self) -> int:
@@ -488,18 +494,20 @@ class OnlineRecordEstimator:
 
     @property
     def shots(self) -> int:
-        return len(self._sums.record)
+        return len(self._record)
 
     @property
     def record(self) -> ShadowRecord:
-        return self._sums.record
+        return self._record
 
     @property
     def running_sum(self) -> complex:
         return self._sums.sums[self._m]
 
     def update(self, snapshot: Snapshot) -> None:
-        self._sums.advance(*_one_row(snapshot, self._n))
+        codes = _row_codes(snapshot, self._n, self._part)
+        self._record.append(snapshot)
+        self._sums.advance(codes)
 
     def estimate(self) -> MomentEstimate:
         return self._sums.estimate(self._m)
@@ -538,9 +546,9 @@ class AccumulatorSet:
     itself is discarded after use.  Memory is ``16 * (order - 1) * 4**N
     + 16`` bytes.
 
-    An update transposes the snapshot on its codes (a Y-basis bit flips
-    on each transposed qubit, as in :func:`snapshot_codes`).  Past
-    ``FACTOR_QUBITS`` qubits it splits them in two, and
+    An update reads the shot's transposed codes (:func:`snapshot_codes`:
+    a Y-basis bit flips on each transposed qubit), so no matrix is ever
+    transposed.  Past ``FACTOR_QUBITS`` qubits it splits them in two, and
     :func:`codes_matrix` builds the dense factor ``A`` of the first
     ``ceil(N / 2)`` qubits and ``C`` of the rest, so the snapshot is ``A ⊗
     C``; the dense qubit cap, ``2 * FACTOR_QUBITS``, never needs a third.
@@ -576,7 +584,6 @@ class AccumulatorSet:
         _check_qubit_count(n_qubits)
         self._m = order
         self._part = _part_qubits(part, n_qubits)
-        self._mask = _transpose_mask(self._part, n_qubits)
         self._n = n_qubits
         dim = 2**n_qubits
         shape = (order - 1, dim, dim)
@@ -625,11 +632,7 @@ class AccumulatorSet:
         return complex(self._trace)
 
     def update(self, snapshot: Snapshot) -> None:
-        if snapshot.n_qubits != self._n:
-            raise ValueError(
-                f"snapshot has {snapshot.n_qubits} qubits, accumulator has {self._n}"
-            )
-        self._absorb(_pt_codes(snapshot.axes, snapshot.bits, self._mask))
+        self.advance(_row_codes(snapshot, self._n, self._part))
 
     def _absorb(self, codes: np.ndarray) -> None:
         """One shot's update from its transposed codes."""
@@ -649,16 +652,14 @@ class AccumulatorSet:
             self._matrices[0] += dense
         self._shots += 1
 
-    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """Absorb the rows of checked ``(B, N)`` axes and bits, each by the
+    def advance(self, codes: np.ndarray) -> None:
+        """Absorb the rows of ``(B, N)`` transposed codes, each by the
         factored per-shot update, with no traces."""
-        for codes in _pt_codes(axes, bits, self._mask).tolist():
-            self._absorb(codes)
+        for row in codes.tolist():
+            self._absorb(row)
 
-    def trajectory(
-        self, axes: np.ndarray, bits: np.ndarray, orders
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Absorb the rows of checked ``(B, N)`` axes and bits; return the
+    def trajectory(self, codes: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb the rows of ``(B, N)`` transposed codes; return the
         estimates of ``orders`` after each row as ``(values, defined)``,
         both ``(B, len(orders))``.
 
@@ -678,7 +679,6 @@ class AccumulatorSet:
         ``tr / comb(t, k)`` in float64 is the real part of Python's
         ``complex / int``.
         """
-        codes = _pt_codes(axes, bits, self._mask)
         rows = len(codes)
         traces = np.empty((rows, self._m), dtype=np.complex128)
         if self._split:
@@ -700,7 +700,7 @@ class AccumulatorSet:
     def _absorb_stacked(self, codes: np.ndarray, traces: np.ndarray) -> None:
         """Absorb a chunk of rows as stacked products (see :meth:`trajectory`)
         and write each order's trace after each row into ``traces``."""
-        snaps = codes_matrices(codes)
+        snaps = codes_matrix(codes)
         mats = self._matrices
         lower = None
         for k in range(self._m - 1):
@@ -778,13 +778,11 @@ class _RowwiseTrajectory:
     """The ``trajectory`` of an engine whose estimates are not running sums:
     advance by one row, then read ``estimate`` of each order."""
 
-    def trajectory(
-        self, axes: np.ndarray, bits: np.ndarray, orders
-    ) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty((len(axes), len(orders)))
+    def trajectory(self, codes: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+        values = np.empty((len(codes), len(orders)))
         defined = np.empty(values.shape, dtype=bool)
-        for i in range(len(axes)):
-            self.advance(axes[i : i + 1], bits[i : i + 1])
+        for i in range(len(codes)):
+            self.advance(codes[i : i + 1])
             for col, m in enumerate(orders):
                 est = self.estimate(m)
                 values[i, col], defined[i, col] = est.value, est.well_defined
@@ -792,59 +790,62 @@ class _RowwiseTrajectory:
 
 
 class _PluginSum(_RowwiseTrajectory):
-    """Running sum of dense snapshots; the order-m plug-in estimate is the
-    trace of the m-th power of the partially transposed mean, which is
-    built once per shot count and shared by every order."""
+    """Running sum of transposed dense snapshots, each built from its
+    transposed codes; the order-m plug-in estimate is the trace of the
+    m-th power of their mean, which is built once per shot count and
+    shared by every order."""
 
     streaming = True
 
-    def __init__(self, part, n_qubits: int):
+    def __init__(self, n_qubits: int):
         _check_qubit_count(n_qubits)
-        self._part = part
         self._sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
         self._shots = 0
-        self._transposed = None
+        self._mean = None
 
-    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        for codes in (2 * axes + bits).tolist():
-            self._sum += codes_matrix(codes)
-        self._shots += len(axes)
-        self._transposed = None
+    def advance(self, codes: np.ndarray) -> None:
+        for row in codes.tolist():
+            self._sum += codes_matrix(row)
+        self._shots += len(codes)
+        self._mean = None
 
     def estimate(self, order: int) -> MomentEstimate:
         if self._shots < 1:
             return _undefined(order, self._shots)
-        if self._transposed is None:
-            self._transposed = partial_transpose(self._sum / self._shots, self._part)
-        power = np.linalg.matrix_power(self._transposed, order)
+        if self._mean is None:
+            self._mean = self._sum / self._shots
+        power = np.linalg.matrix_power(self._mean, order)
         return _finish(order, self._shots, complex(np.trace(power)))
 
 
 class _RetainedRecord(_RowwiseTrajectory):
-    """The ``batched`` strategy: keeps every shot (``advance`` appends to
-    the record) and evaluates :func:`batched_estimate` over the record on
-    request, from batch means built once per shot count and shared by
-    every order; orders it cannot form yet are undefined."""
+    """The ``batched`` strategy: keeps every shot's transposed codes (the
+    blocks that ``advance`` takes, joined at the next read) and evaluates
+    :func:`batched_estimate` over them on request, from batch means built
+    once per shot count and shared by every order; orders it cannot form
+    yet are undefined."""
 
     streaming = False
 
-    def __init__(self, part, n_qubits: int, n_batches: int):
+    def __init__(self, n_qubits: int, n_batches: int):
         _check_qubit_count(n_qubits)
-        self._part = part
         self._n_batches = n_batches
-        self._record = ShadowRecord(n_qubits)
+        self._blocks = []
+        self._shots = 0
         self._batches = None
 
-    def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        self._record._append_rows(axes, bits)
+    def advance(self, codes: np.ndarray) -> None:
+        self._blocks.append(codes)
+        self._shots += len(codes)
         self._batches = None
 
     def estimate(self, order: int) -> MomentEstimate:
-        shots = len(self._record)
+        shots = self._shots
         if order > self._n_batches or shots < self._n_batches:
             return _undefined(order, shots)
         if self._batches is None:
-            self._batches = _batch_means(self._record, self._part, self._n_batches)
+            self._blocks = [np.concatenate(self._blocks)]
+            self._batches = _batch_means(self._blocks[0], self._n_batches)
         return _batched_moment(self._batches, order, shots)
 
 
@@ -865,17 +866,17 @@ class _PacedRecordSums(_RecordSums):
 
 
 # Strategy name -> factory(orders, part, n_qubits, n_batches); ``orders``
-# is sorted and ``part`` normalised.  The only place strategy names live.
+# is sorted and ``part`` normalised, read only by the accumulators (for
+# their checkpoint and per-shot ``update``).  The only place strategy
+# names live.
 _STRATEGIES = {
     "ustat": lambda orders, part, n_qubits, n_batches: _PacedRecordSums(
-        part, ShadowRecord(n_qubits), {m: 0j for m in orders if m >= 2}
+        n_qubits, {m: 0j for m in orders if m >= 2}
     ),
-    "plugin": lambda orders, part, n_qubits, n_batches: _PluginSum(part, n_qubits),
-    "batched": lambda orders, part, n_qubits, n_batches: _RetainedRecord(
-        part, n_qubits, n_batches
-    ),
+    "plugin": lambda orders, part, n_qubits, n_batches: _PluginSum(n_qubits),
+    "batched": lambda orders, part, n_qubits, n_batches: _RetainedRecord(n_qubits, n_batches),
     "online-norecon": lambda orders, part, n_qubits, n_batches: _RecordSums(
-        part, ShadowRecord(n_qubits), {m: 0j for m in orders if m >= 2}
+        n_qubits, {m: 0j for m in orders if m >= 2}
     ),
     "online-recon": lambda orders, part, n_qubits, n_batches: AccumulatorSet(
         orders[-1], part, n_qubits
@@ -928,8 +929,8 @@ class MomentStream:
         self.orders = orders
         self._shots = 0
         self._n_qubits = n_qubits
-        part = _part_qubits(part, n_qubits)
-        self._estimator = _STRATEGIES[strategy](orders, part, n_qubits, n_batches)
+        self._part = _part_qubits(part, n_qubits)
+        self._estimator = _STRATEGIES[strategy](orders, self._part, n_qubits, n_batches)
 
     @property
     def streaming(self) -> bool:
@@ -942,15 +943,15 @@ class MomentStream:
 
     def update(self, snapshot: Snapshot) -> None:
         """:meth:`advance` by one shot of the stream's qubit count."""
-        self._estimator.advance(*_one_row(snapshot, self._n_qubits))
+        self._estimator.advance(_row_codes(snapshot, self._n_qubits, self._part))
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
         """:meth:`update` by each row of ``(B, N)`` axes and bits, checked
-        once (see :meth:`trajectory`)."""
-        axes, bits = _coerce_block(axes, bits, self._n_qubits)
-        self._estimator.advance(axes, bits)
-        self._shots += len(axes)
+        and encoded once (see :meth:`trajectory`)."""
+        codes = self._encode(axes, bits)
+        self._estimator.advance(codes)
+        self._shots += len(codes)
 
     def trajectory(self, axes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Update by each row of ``(B, N)`` axes and bits and return every
@@ -961,13 +962,18 @@ class MomentStream:
         2-D shapes with the stream's qubit count, axes below 3 and bits
         below 2, else ``ValueError``.
         """
-        axes, bits = _coerce_block(axes, bits, self._n_qubits)
-        values, defined = self._estimator.trajectory(axes, bits, [m for m in self.orders if m > 1])
-        self._shots += len(axes)
+        codes = self._encode(axes, bits)
+        values, defined = self._estimator.trajectory(codes, [m for m in self.orders if m > 1])
+        self._shots += len(codes)
         if self.orders[0] == 1:  # pinned to 1 from the first shot on
-            values = np.hstack([np.ones((len(axes), 1)), values])
-            defined = np.hstack([np.ones((len(axes), 1), dtype=bool), defined])
+            values = np.hstack([np.ones((len(codes), 1)), values])
+            defined = np.hstack([np.ones((len(codes), 1), dtype=bool), defined])
         return values, defined
+
+    def _encode(self, axes, bits) -> np.ndarray:
+        """A block checked by the rule of :class:`Snapshot` and encoded once,
+        as the ``(B, N)`` transposed codes every strategy reads."""
+        return snapshot_codes(*_coerce_block(axes, bits, self._n_qubits), self._part)
 
     def estimates(self) -> dict[int, MomentEstimate]:
         """Current per-order estimates (undefined entries carry NaN values)."""

@@ -142,27 +142,20 @@ def transposed_factors(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     return factors_from_codes(snapshot_codes(axes, bits, part))
 
 
-def _pt_codes(axes: np.ndarray, bits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``2 * axis + (bit XOR (axis is Y and the qubit is in mask))`` as uint8.
-
-    ``axis & mask`` is 1 exactly where the axis is Y (``AXIS_Y`` is 1, and
-    X = 0 and Z = 2 have the low bit clear) on a transposed qubit, and XOR
-    with it flips only the low bit, the one that holds the outcome.
-    """
-    return ((2 * axes + bits) ^ (axes & mask)).astype(np.uint8, copy=False)
-
-
 def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     """Six-valued per-qubit codes with the partial transpose applied.
 
     Every transposed snapshot factor is one of six 2x2 matrices, so a
     ``(T, N)`` record compresses to ``code = 2 * axis + effective_bit``
     in ``uint8``.  ``factors_from_codes`` inverts the encoding;
-    :func:`batch_code_traces` consumes it directly.
+    :func:`batch_code_traces` consumes it directly.  ``axis & mask`` is 1
+    exactly where the axis is Y (``AXIS_Y`` is 1, and X = 0 and Z = 2
+    have the low bit clear) on a transposed qubit, and XOR with it flips
+    only the low bit, the one that holds the outcome.
     """
     axes = np.asarray(axes)
-    bits = np.asarray(bits)
-    return _pt_codes(axes, bits, _transpose_mask(part, axes.shape[1]))
+    mask = _transpose_mask(part, axes.shape[1])
+    return ((2 * axes + np.asarray(bits)) ^ (axes & mask)).astype(np.uint8, copy=False)
 
 
 def factors_from_codes(codes: np.ndarray) -> np.ndarray:

@@ -152,10 +152,16 @@ class ExperimentConfig:
 
     def validated(self) -> "ExperimentConfig":
         for f in fields(self):
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"{f.name} must be a number of type {f.type}, got {value!r}")
+            base = f.type.removesuffix(" | None")
+            kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+            kind = kinds.get(base)
+            if kind is None or (value is None and base != f.type):
+                continue
+            # A bool is an int to isinstance, but only a bool field takes one.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                what = "a number of type" if base in ("int", "float") else "of type"
+                raise ValueError(f"{f.name} must be {what} {f.type}, got {value!r}")
         if self.state_kind not in ("werner", "file"):
             raise ValueError(f"state_kind must be 'werner' or 'file', got {self.state_kind!r}")
         if self.state_kind == "file" and not self.state_path:

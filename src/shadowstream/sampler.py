@@ -59,7 +59,6 @@ __all__ = [
     "inverse_channel_factor",
     "snapshot_matrix",
     "codes_matrix",
-    "codes_matrices",
     "shot_rng",
     "sample_snapshot",
     "iter_snapshots",
@@ -221,55 +220,40 @@ def _pair_blocks() -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    """``np.kron`` of the last two axes of ``a`` and ``b``, over their
+    matching leading axes."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        a.shape[:-2] + (a.shape[-2] * b.shape[-2], -1)
+    )
 
 
 def codes_matrix(codes) -> np.ndarray:
     """Dense reconstruction from six-valued per-qubit codes (``2 * axis + bit``).
 
-    Consecutive qubits are read as 2-qubit blocks from a 36-entry table
-    and joined with Kronecker products.  Every factor entry is 0, 0.5,
-    2, -1 or +-1.5 times 1 or i, so all products are exact and the
-    result equals the qubit-by-qubit ``np.kron`` chain under ``==``.
-    Only the signs of zero entries can differ, and no running sum that
-    starts from +0 can see those.  The result may be a read-only view
-    into the table.
+    ``codes`` is one shot's ``(N,)`` codes, giving a ``2**N x 2**N``
+    matrix, or a ``(..., N)`` stack of shots, giving a ``(..., 2**N,
+    2**N)`` stack; transposed codes (:func:`~shadowstream.kernel.snapshot_codes`)
+    give the transposed snapshot.  Consecutive qubits are read as
+    2-qubit blocks from a 36-entry table and joined with Kronecker
+    products.  Every factor entry is 0, 0.5, 2, -1 or +-1.5 times 1 or
+    i, so all products are exact and the result equals the qubit-by-qubit
+    ``np.kron`` chain under ``==``.  Only the signs of zero entries can
+    differ, and no running sum that starts from +0 can see those.  A
+    one-shot result may be a read-only view into the table.
     """
     codes = np.asarray(codes, dtype=np.intp)
-    if codes.ndim != 1 or codes.size == 0:
-        raise ValueError(f"expected a nonempty 1-d code array, got shape {codes.shape}")
-    n = codes.size
-    codes = codes.tolist()  # Python ints index faster than numpy scalars
+    if codes.ndim == 0 or codes.shape[-1] == 0:
+        raise ValueError(f"expected nonempty codes along the last axis, got shape {codes.shape}")
+    # One shot's codes as Python ints, which index faster than numpy scalars.
+    columns = codes.tolist() if codes.ndim == 1 else np.moveaxis(codes, -1, 0)
     blocks = _pair_blocks()
     out = None
-    for lo in range(0, n, 2):
-        if lo + 1 < n:
-            block = blocks[6 * codes[lo] + codes[lo + 1]]
+    for lo in range(0, len(columns), 2):
+        if lo + 1 < len(columns):
+            block = blocks[6 * columns[lo] + columns[lo + 1]]
         else:
-            block = FACTORS[codes[lo] >> 1, codes[lo] & 1]
+            block = FACTORS[columns[lo] >> 1, columns[lo] & 1]
         out = block if out is None else _kron(out, block)
-    return out
-
-
-def codes_matrices(codes: np.ndarray) -> np.ndarray:
-    """:func:`codes_matrix` of every row of a ``(B, N)`` code array, as a
-    new ``(B, 2**N, 2**N)`` array; the same products, so the same bits."""
-    rows, n = codes.shape
-    codes = codes.astype(np.intp)
-    flat = FACTORS.reshape(6, 2, 2)
-    blocks = _pair_blocks()
-    out = None
-    for lo in range(0, n, 2):
-        if lo + 1 < n:
-            block = blocks[6 * codes[:, lo] + codes[:, lo + 1]]
-        else:
-            block = flat[codes[:, lo]]
-        if out is None:
-            out = block
-        else:
-            out = (out[:, :, None, :, None] * block[:, None, :, None, :]).reshape(
-                rows, out.shape[1] * block.shape[1], -1
-            )
     return out
 
 
@@ -518,15 +502,6 @@ class ShadowRecord:
         self._axes[self._len] = snapshot.axes
         self._bits[self._len] = snapshot.bits
         self._len += 1
-
-    def _append_rows(self, axes: np.ndarray, bits: np.ndarray) -> None:
-        """Append ``(B, N)`` axes and bits, already checked (see
-        :func:`_coerce_block`), with one array write."""
-        end = self._len + len(axes)
-        self._reserve(end)
-        self._axes[self._len : end] = axes
-        self._bits[self._len : end] = bits
-        self._len = end
 
     def _reserve(self, total: int) -> None:
         """Room for ``total`` shots, the capacity at least doubling when it grows."""

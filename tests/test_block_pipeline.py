@@ -34,7 +34,7 @@ from shadowstream import (
     stream_shadows,
     werner_state,
 )
-from shadowstream.kernel import subset_index_chunks
+from shadowstream.kernel import snapshot_codes, subset_index_chunks
 from shadowstream.runner import (
     _build_state,
     _observe,
@@ -160,7 +160,8 @@ class TestAccumulatorTrajectory:
             if i == 2:  # resume from a checkpoint between blocks
                 save_estimator_state(acc, tmp_path / "acc.sses")
                 acc = load_estimator_state(tmp_path / "acc.sses")
-            values, defined = acc.trajectory(record.axes[lo:hi], record.bits[lo:hi], orders)
+            codes = snapshot_codes(record.axes[lo:hi], record.bits[lo:hi], part)
+            values, defined = acc.trajectory(codes, orders)
             assert np.array_equal(defined, ~np.isnan(expected[lo:hi]))
             got.append(values)
         assert np.concatenate(got).tobytes() == expected.tobytes()
@@ -177,9 +178,9 @@ class TestAccumulatorTrajectory:
         start = complex(1000 * np.pi, -1000 * np.e)
         expected, final = per_shot_reference(AccumulatorSet(3, part, n, top_trace=start), record)
         acc = AccumulatorSet(3, part, n, top_trace=start)
+        codes = snapshot_codes(record.axes, record.bits, part)
         values = np.concatenate(
-            [acc.trajectory(record.axes[lo:hi], record.bits[lo:hi], [1, 2, 3])[0]
-             for lo, hi in ragged_blocks(150, (7, 50))]
+            [acc.trajectory(codes[lo:hi], [1, 2, 3])[0] for lo, hi in ragged_blocks(150, (7, 50))]
         )
         assert values.tobytes() == expected.tobytes()
         assert accumulator_state(acc) == final
@@ -241,7 +242,7 @@ class TestRecordTrajectory:
         assert np.concatenate(got).tobytes() == expected.tobytes()
         assert np.array_equal(np.concatenate(seen), ~np.isnan(expected))
         assert block.shots == one.shots == count
-        assert block._estimator.record.to_bytes() == one._estimator.record.to_bytes()
+        assert block._estimator._codes[:count].tobytes() == one._estimator._codes[:count].tobytes()
         assert same_estimates(block.estimates(), one.estimates())
 
     @pytest.mark.parametrize("orders", [(1, 2, 3), (2, 3, 4)])

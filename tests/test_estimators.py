@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import shadowstream.estimators
 import shadowstream.kernel
+import shadowstream.states
 from shadowstream import (
     AccumulatorSet,
     Bipartition,
@@ -266,7 +267,7 @@ class TestOnlineRecordEstimator:
             raise AssertionError("dense reconstruction in the record-only path")
 
         monkeypatch.setattr(shadowstream.estimators, "snapshot_matrix", boom)
-        monkeypatch.setattr(shadowstream.estimators, "partial_transpose", boom)
+        monkeypatch.setattr(shadowstream.estimators, "codes_matrix", boom)
         monkeypatch.setattr(shadowstream.kernel, "snapshot_matrix", boom)
         monkeypatch.setattr(shadowstream.kernel, "partial_transpose", boom)
         online = OnlineRecordEstimator(3, PART, 2)
@@ -299,17 +300,18 @@ class TestIncrementalCodes:
         assert online.estimate().value == ustat_offline(record[:30], 3, PART).value
 
     def test_restored_record_is_encoded_once(self, record, tmp_path, encoded_rows):
+        # Once, when the estimator is rebuilt; later shots one by one.
         full = OnlineRecordEstimator(3, PART, 2)
         for snap in list(record)[:17]:
             full.update(snap)
         path = tmp_path / "online.ckpt"
         save_estimator_state(full, path)
-        resumed = load_estimator_state(path)
         encoded_rows.clear()
+        resumed = load_estimator_state(path)
         for snap in list(record)[17:22]:
             full.update(snap)
             resumed.update(snap)
-        assert encoded_rows == [1, 18, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert encoded_rows == [17] + [1] * 10
         assert resumed.running_sum == full.running_sum
 
 
@@ -339,9 +341,9 @@ class TestClosingShotFold:
         record = random_record(n, shots, seed)
         part = tuple(range(0, n, 2))
         codes = snapshot_codes(record.axes, record.bits, part)
-        sums = _RecordSums(part, ShadowRecord(n), {m: 0j})
+        sums = _RecordSums(n, {m: 0j})
         for t in range(shots):
-            sums.advance(record.axes[t : t + 1], record.bits[t : t + 1])
+            sums.advance(codes[t : t + 1])
             if t + 1 < m or (checked is not None and t not in checked):
                 continue
             want = closed_tuple_fresh(codes, t, m, chain_trace_table(m) if table is None else table)
@@ -405,10 +407,11 @@ class TestClosingShotFold:
         # Order 7 has no chain table; the new shot's 2x2 factors close
         # every chain of the past instead of being appended to each tuple.
         record = random_record(2, 10, seed=7)
-        factors = factors_from_codes(snapshot_codes(record.axes, record.bits, PART))
-        sums = _RecordSums(PART, ShadowRecord(2), {7: 0j})
+        codes = snapshot_codes(record.axes, record.bits, PART)
+        factors = factors_from_codes(codes)
+        sums = _RecordSums(2, {7: 0j})
         for t in range(10):
-            sums.advance(record.axes[t : t + 1], record.bits[t : t + 1])
+            sums.advance(codes[t : t + 1])
             if t < 6:
                 continue
             want = 0.0 + 0.0j
@@ -662,6 +665,19 @@ class TestMomentStream:
         with pytest.raises(CapacityError):
             MomentStream(strategy, (2,), (0,), n, n_batches=2)
 
+    @pytest.mark.parametrize(
+        "strategy", ["ustat", "plugin", "batched", "online-norecon", "online-recon"]
+    )
+    def test_zero_qubits_are_rejected(self, strategy):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            MomentStream(strategy, (2,), (), 0, n_batches=2)
+
+    @pytest.mark.parametrize("strategy", ["ustat", "online-norecon"])
+    def test_record_only_strategies_have_no_qubit_cap(self, strategy):
+        stream = MomentStream(strategy, (2, 3), (0,), 40)
+        stream.update(Snapshot([1] * 40, [0] * 40))
+        assert stream.estimates()[2].well_defined is False
+
     def test_orders_are_sorted_and_deduped(self):
         stream = MomentStream("online-recon", (3, 2, 3), PART, 2)
         assert stream.orders == (2, 3)
@@ -717,6 +733,8 @@ class TestMomentStream:
             )
 
     def test_norecon_orders_share_one_record(self, record, monkeypatch):
+        # Every order reads one array of transposed codes, one row a shot;
+        # no ShadowRecord of axes and bits is kept beside it.
         created = []
 
         class CountingRecord(ShadowRecord):
@@ -728,8 +746,9 @@ class TestMomentStream:
         stream = MomentStream("online-norecon", (2, 3, 4), PART, 2)
         for snap in list(record)[:12]:
             stream.update(snap)
-        assert len(created) == 1
-        assert len(created[0]) == stream.shots == 12
+        assert created == []
+        codes = snapshot_codes(record.axes[:12], record.bits[:12], PART)
+        assert stream._estimator._codes[: stream.shots].tobytes() == codes.tobytes()
         estimates = stream.estimates()
         for order in (2, 3, 4):
             reference = ustat_offline(record[:12], order, PART).value
@@ -743,27 +762,22 @@ class TestMomentStream:
         assert stream.estimates()[2].value == direct.value
 
     @pytest.mark.parametrize("strategy", ["plugin", "batched"])
-    def test_dense_strategies_transpose_once_per_read(self, record, strategy, monkeypatch):
-        # Every order of a read shares one transposed mean (plugin) or one
-        # set of transposed batch means (batched), rebuilt after each block.
-        calls = []
-        transpose = shadowstream.estimators.partial_transpose
-        monkeypatch.setattr(
-            shadowstream.estimators,
-            "partial_transpose",
-            lambda *args: calls.append(1) or transpose(*args),
-        )
+    def test_dense_strategies_transpose_no_matrix(self, record, strategy, monkeypatch):
+        # The means are sums of snapshots built from transposed codes, so
+        # no read (streamed or direct) transposes a dense matrix.
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("dense partial transpose in an estimator")
+
+        for module in (shadowstream.states, shadowstream.estimators):
+            monkeypatch.setattr(module, "partial_transpose", boom, raising=False)
         stream = MomentStream(strategy, (2, 3, 4), PART, 2, n_batches=5)
-        direct, transposes = {
-            "plugin": (lambda shots, m: plugin_estimate(shots, m, PART), 1),
-            "batched": (lambda shots, m: batched_estimate(shots, m, PART, 5), 5),
+        direct = {
+            "plugin": lambda shots, m: plugin_estimate(shots, m, PART),
+            "batched": lambda shots, m: batched_estimate(shots, m, PART, 5),
         }[strategy]
         for hi in (10, 11, 27):
             stream.advance(record.axes[stream.shots : hi], record.bits[stream.shots : hi])
-            calls.clear()
             estimates = stream.estimates()
-            stream.estimates()
-            assert len(calls) == transposes
             for m in (2, 3, 4):
                 assert estimates[m] == direct(record[:hi], m)
 
@@ -895,7 +909,7 @@ class TestCheckpointDecoding:
 
     def test_only_checkpointable_strategies_pack(self):
         with pytest.raises(TypeError, match="cannot checkpoint _RecordSums"):
-            _pack_state(_RecordSums((0,), ShadowRecord(2), {2: 0j}))
+            _pack_state(_RecordSums(2, {2: 0j}))
 
     def test_zero_qubit_accumulators_are_rejected(self):
         # Order 2, N = 0, no shots, an empty part list and one 1x1 matrix

@@ -125,6 +125,11 @@ class TestExperimentConfig:
             ({"strategies": ["batched"], "n_batches": 0}, "n_batches"),
             ({"strategies": ["batched"], "n_batches": 2}, "n_batches"),
             ({"strategies": ["plugin", "ustat", "plugin"]}, "strategies"),
+            ({"orders": [1, 2], "target_order": True}, "target_order"),
+            ({"target_order": 2.0}, "target_order"),
+            ({"stop_on_convergence": "no"}, "stop_on_convergence"),
+            ({"stop_on_convergence": None}, "stop_on_convergence"),
+            ({"state_kind": "file", "state_path": 5}, "state_path"),
         ],
     )
     def test_malformed_values_name_the_field(self, payload, field):

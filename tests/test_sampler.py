@@ -207,6 +207,14 @@ class TestCodesMatrix:
         for codes in rng.integers(0, 6, size=(count, n)):
             assert np.array_equal(codes_matrix(codes), kron_chain(codes))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacks_match_their_rows(self, n):
+        codes = np.random.default_rng(n).integers(0, 6, size=(2, 3, n))
+        stack = codes_matrix(codes)
+        assert stack.shape == (2, 3, 2**n, 2**n)
+        for index in np.ndindex(2, 3):
+            assert stack[index].tobytes() == codes_matrix(codes[index]).tobytes()
+
     def test_snapshot_matrix_reads_the_codes(self):
         snap = Snapshot("XYZ", [1, 0, 1])
         assert np.array_equal(snapshot_matrix(snap), kron_chain([1, 2, 5]))
@@ -216,8 +224,9 @@ class TestCodesMatrix:
         assert not block.flags.writeable
 
     def test_rejects_empty_codes(self):
-        with pytest.raises(ValueError):
-            codes_matrix([])
+        for codes in ([], np.zeros((4, 0), dtype=int), 3):
+            with pytest.raises(ValueError):
+                codes_matrix(codes)
 
 
 class TestShotRng:
@@ -348,18 +357,6 @@ class TestShadowRecord:
             ShadowRecord.from_arrays(np.zeros((3, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             ShadowRecord.from_arrays(np.full((1, 2), 7), np.zeros((1, 2)))
-
-    def test_block_append_equals_shot_by_shot(self):
-        rec = stream_shadows(werner_state(2, 0.9), 300, seed=12)
-        by_shot = ShadowRecord(2, seed=12, descriptor=rec.descriptor)
-        by_block = ShadowRecord(2, seed=12, descriptor=rec.descriptor)
-        for snap in rec:
-            by_shot.append(snap)
-        # Empty, small and large blocks, one past twice the capacity.
-        for lo, hi in [(0, 0), (0, 3), (3, 67), (67, 86), (86, 214), (214, 300)]:
-            by_block._append_rows(rec.axes[lo:hi], rec.bits[lo:hi])
-        assert by_block == by_shot == rec
-        assert by_block.to_bytes() == by_shot.to_bytes() == rec.to_bytes()
 
     @pytest.mark.parametrize(
         "axes, bits",
