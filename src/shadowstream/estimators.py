@@ -64,6 +64,8 @@ from .kernel import (
     PairSum,
     Scratch,
     _group_tables,
+    _masked_codes,
+    _transpose_mask,
     batch_code_traces,
     batch_tuple_traces,
     chain_trace_table,
@@ -79,7 +81,6 @@ from .sampler import (
     ShadowRecord,
     Snapshot,
     _coerce_block,
-    _kron,
     codes_matrix,
     snapshot_matrix,  # unused here, but perfbench/layers.py wraps estimators.snapshot_matrix
 )
@@ -102,7 +103,8 @@ __all__ = [
 # qubits one dense factor is fastest.  Measured N = 2..10 in CHANGES.md.
 FACTOR_QUBITS = 6
 
-# Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update.
+# Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update, and
+# on the kept scratch that sets the accumulators' tile rows past FACTOR_QUBITS.
 _STACK_BYTES = 1 << 20
 
 # Shots whose closing tables are built together: one stack of a few tables
@@ -227,9 +229,11 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     codes = snapshot_codes(record.axes, record.bits, part)
     tables = None
     if order <= CHAIN_TABLE_MAX:
-        width = group_width(order, record.n_qubits)
-        per_qubit = np.broadcast_to(chain_trace_table(order), (record.n_qubits, 6**order))
-        tables = _group_tables(per_qubit, order, width)
+        n, width = record.n_qubits, group_width(order, record.n_qubits)
+        # One table per distinct group: a whole one, and a padded last one.
+        per_qubit = np.broadcast_to(chain_trace_table(order), (width + n % width, 6**order))
+        distinct = _group_tables(per_qubit, order, width)
+        tables = [distinct[0]] * (-(-n // width) - 1) + [distinct[-1]]
         codes = group_codes(codes, width)
     total = _kernel_sum(codes, order, tables)
     return _finish(order, shots, total / math.comb(shots, order))
@@ -428,11 +432,11 @@ class _RecordSums:
         return _finish(order, shots, self.sums[order] / math.comb(shots, order))
 
 
-def _row_codes(snapshot: Snapshot, n_qubits: int, part) -> np.ndarray:
+def _row_codes(snapshot: Snapshot, n_qubits: int, mask: np.ndarray) -> np.ndarray:
     """A snapshot of ``n_qubits`` qubits as a one-row block of transposed codes."""
     if snapshot.n_qubits != n_qubits:
         raise ValueError(f"snapshot has {snapshot.n_qubits} qubits, expected {n_qubits}")
-    return snapshot_codes(snapshot.axes[None], snapshot.bits[None], part)
+    return _masked_codes(snapshot.axes[None], snapshot.bits[None], mask)
 
 
 def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
@@ -480,6 +484,7 @@ class OnlineRecordEstimator:
         self._m = order
         self._n = n_qubits
         self._part = _part_qubits(part, n_qubits)
+        self._mask = _transpose_mask(self._part, n_qubits)
         self._record = record
         codes = snapshot_codes(record.axes, record.bits, self._part) if len(record) else None
         self._sums = _RecordSums(n_qubits, {order: complex(running_sum)}, codes)
@@ -505,7 +510,7 @@ class OnlineRecordEstimator:
         return self._sums.sums[self._m]
 
     def update(self, snapshot: Snapshot) -> None:
-        codes = _row_codes(snapshot, self._n, self._part)
+        codes = _row_codes(snapshot, self._n, self._mask)
         self._record.append(snapshot)
         self._sums.advance(codes)
 
@@ -544,28 +549,36 @@ class AccumulatorSet:
     shots came before (orders 1 and 2 need no product at all), and every
     order up to ``order`` can be read off the same set; the snapshot
     itself is discarded after use.  Memory is ``16 * (order - 1) * 4**N
-    + 16`` bytes.
+    + 16`` bytes, plus a kept scratch past ``FACTOR_QUBITS``.
 
-    An update reads the shot's transposed codes (:func:`snapshot_codes`:
-    a Y-basis bit flips on each transposed qubit), so no matrix is ever
-    transposed.  Past ``FACTOR_QUBITS`` qubits it splits them in two, and
-    :func:`codes_matrix` builds the dense factor ``A`` of the first
-    ``ceil(N / 2)`` qubits and ``C`` of the rest, so the snapshot is ``A ⊗
-    C``; the dense qubit cap, ``2 * FACTOR_QUBITS``, never needs a third.
-    A product ``M @ (A ⊗ C)`` is then one gemm against the right factor,
-    ``M.reshape(-1, c) @ C``, and one batched ``A.T @`` over the ``(d, a,
-    c)`` view of the result, costing ``d**2 * (a + c)`` multiply-adds
-    instead of ``d**3`` (``d = a * c = 2**N``); up to ``FACTOR_QUBITS``
-    qubits it is the plain ``M @ dense``.  The trace
-    increment is one pass over the dense ``R`` that ``S_1 += R`` needs
-    anyway (:func:`_trace_products`).
+    An update reads the shot's transposed codes (:func:`snapshot_codes`),
+    so no matrix is ever transposed.  Past ``FACTOR_QUBITS`` qubits
+    :func:`codes_matrix` builds the factor ``A`` of the first ``ceil(N /
+    2)`` qubits and ``C`` of the rest, the snapshot being ``A ⊗ C`` (the
+    dense cap, ``2 * FACTOR_QUBITS``, never needs a third), and no dense
+    snapshot is built: the matrices are kept factor-major in tiles of
+    ``R`` rows, ``P[t, k, i, r, l] = S_{k+1}[t * R + r, i * c + l]`` (``d
+    = a * c = 2**N``; ``R`` the most rows, a power of two of at least
+    ``c``, whose ``2 * max(order - 2, 1)`` scratch stacks fit
+    ``_STACK_BYTES``: 64 at N = 8, order 4).  Per tile, while it sits in
+    cache, all orders' products are one gemm ``P[t, :m-2].reshape(-1, c)
+    @ C`` and one ``A.T @`` over the ``(a, R * c)`` view of each result,
+    both into the scratch and then added, ``d**2 * (a + c)`` multiply-adds
+    instead of ``d**3``; the top trace is a gemv against ``C.T`` and a dot
+    with the tile's columns of ``A``, and ``S_1 += A ⊗ C`` their product.
+    Up to ``FACTOR_QUBITS`` the same array (``a = 1``, one tile) is the
+    plain dense one, multiplied by the dense snapshot.
 
     Every factor entry is 0, +-0.5, +-1.5, 2 or -1 times 1 or i, so every
     accumulator entry is a dyadic rational and no product or sum rounds
     while the numerators fit in 53 bits: the factored product equals the
     dense one bit for bit, zero signs included (a sum from +0 never sees
     them), and the running trace equals the trace of the dense top
-    product.  Beyond that point they differ only at rounding level.
+    product.  Beyond that point they differ only at rounding level; the
+    tiled ``tr(S_{m-1} R)`` reaches each of its terms, products of three
+    entries, through ``c**2 + a * R / c + d / R`` additions, within the
+    bound of the :mod:`~shadowstream.kernel` docstring (after 400 shots at
+    order 5, N = 7 and 8, within 7e-16 relative of the dense products').
     """
 
     streaming = True
@@ -584,24 +597,30 @@ class AccumulatorSet:
         _check_qubit_count(n_qubits)
         self._m = order
         self._part = _part_qubits(part, n_qubits)
+        self._mask = _transpose_mask(self._part, n_qubits)
         self._n = n_qubits
         dim = 2**n_qubits
         shape = (order - 1, dim, dim)
-        if matrices is None:
-            matrices = np.zeros(shape, dtype=np.complex128)
-        else:
-            matrices = np.array(matrices, dtype=np.complex128, order="C")
-            if matrices.shape != shape:
-                raise ValueError(f"expected accumulator shape {shape}, got {matrices.shape}")
-        self._matrices = matrices
-        self._trace = complex(top_trace)
-        self._shots = int(shots)
-        # The qubits of A (none up to FACTOR_QUBITS); C multiplies the
-        # ``(rows, c)`` view of an accumulator, A.T the ``(d, a, c)`` view.
+        # The qubits of A (none up to FACTOR_QUBITS), and the rows per tile.
         self._split = -(-n_qubits // 2) if n_qubits > FACTOR_QUBITS else 0
         left, right = 2**self._split, 2 ** (n_qubits - self._split)
-        self._rows = matrices.reshape(order - 1, dim * left, right)
-        self._sums = matrices.reshape(order - 1, dim, left, right) if self._split else matrices
+        stacks = 2 * max(order - 2, 1) if self._split and order > 1 else 0
+        rows = dim
+        while rows > right and 16 * stacks * rows * dim > _STACK_BYTES:
+            rows //= 2
+        self._scratch = np.empty(stacks * rows * dim, dtype=np.complex128)
+        self._tiles = np.zeros((dim // rows, order - 1, left, rows, right), dtype=np.complex128)
+        if matrices is not None:
+            matrices = np.asarray(matrices, dtype=np.complex128)
+            if matrices.shape != shape:
+                raise ValueError(f"expected accumulator shape {shape}, got {matrices.shape}")
+            dense = matrices.reshape(order - 1, dim // rows, rows, left, right)
+            self._tiles.transpose(1, 0, 3, 2, 4)[...] = dense
+        g = np.arange(dim)
+        where = (g // rows, np.arange(order - 1)[:, None], g // right, g % rows, g % right)
+        self._diagonal = np.ravel_multi_index(where, self._tiles.shape)
+        self._trace = complex(top_trace)
+        self._shots = int(shots)
 
     @property
     def order(self) -> int:
@@ -622,7 +641,7 @@ class AccumulatorSet:
     @property
     def matrices(self) -> np.ndarray:
         """``S_1 ... S_{m-1}``, read-only, ``(order - 1, 2**N, 2**N)``."""
-        view = self._matrices.view()
+        view = self._dense()
         view.setflags(write=False)
         return view
 
@@ -631,26 +650,53 @@ class AccumulatorSet:
         """The running trace of ``S_m``, the top order's accumulator."""
         return complex(self._trace)
 
-    def update(self, snapshot: Snapshot) -> None:
-        self.advance(_row_codes(snapshot, self._n, self._part))
+    def _dense(self) -> np.ndarray:
+        """The matrices: a view of the one tile up to ``FACTOR_QUBITS``, else a copy."""
+        dim = 2**self._n
+        return self._tiles.transpose(1, 0, 3, 2, 4).reshape(self._m - 1, dim, dim)
 
-    def _absorb(self, codes: np.ndarray) -> None:
-        """One shot's update from its transposed codes."""
-        split = self._split
+    def update(self, snapshot: Snapshot) -> None:
+        self.advance(_row_codes(snapshot, self._n, self._mask))
+
+    def _absorb(self, codes) -> None:
+        """One shot's update from its transposed codes; past ``FACTOR_QUBITS``
+        tile by tile in the factor-major layout (see the class docstring)."""
+        split, m = self._split, self._m
         right = codes_matrix(codes[split:])
-        left = codes_matrix(codes[:split]) if split else None
-        dense = right if left is None else _kron(left, right)
-        top = self._matrices[-1:] if self._m > 1 else None
-        self._trace += _trace_products(top, dense[None])[0]
-        rows, sums = self._rows, self._sums
-        for k in range(self._m - 2, 0, -1):
-            prod = rows[k - 1] @ right
-            if left is not None:
-                prod = np.matmul(left.T, prod.reshape(sums.shape[1:]))
-            sums[k] += prod
-        if self._m > 1:
-            self._matrices[0] += dense
         self._shots += 1
+        if not split:
+            mats = self._dense()
+            # A row's einsum value is that of the same row in a stacked block.
+            top = np.einsum("tij,tji->t", mats[-1:], right[None])[0] if m > 1 else np.trace(right)
+            self._trace += top
+            for k in range(m - 2, 0, -1):
+                mats[k] += mats[k - 1] @ right
+            if m > 1:
+                mats[0] += right
+            return
+        left = codes_matrix(codes[:split])
+        if m == 1:
+            self._trace += np.trace(left) * np.trace(right)
+            return
+        (a, rows, c), scratch = self._tiles.shape[2:], self._scratch
+        band, size = rows // c, a * rows * c  # columns of A per tile, entries per stack
+        products = scratch[: (m - 2) * size].reshape(-1, c)
+        mixed = scratch[(m - 2) * size : 2 * (m - 2) * size].reshape(m - 2, a, rows * c)
+        # Broadcasting ufuncs allocate buffers; copies into the scratch do not.
+        fresh, spread = (scratch[j * size : (j + 1) * size].reshape(a, band, c, c) for j in (0, 1))
+        closing, increment = right.T.ravel(), 0j
+        for t, tile in enumerate(self._tiles):
+            cols = slice(t * band, (t + 1) * band)
+            increment += (tile[-1].reshape(-1, c * c) @ closing) @ left[:, cols].ravel()
+            if m > 2:
+                np.matmul(tile[:-1].reshape(-1, c), right, out=products)
+                np.matmul(left.T, products.reshape(m - 2, a, rows * c), out=mixed)
+                tile[1:] += mixed.reshape(m - 2, a, rows, c)
+            np.copyto(fresh, right)
+            np.copyto(spread, left.T[:, cols, None, None])
+            fresh *= spread
+            tile[0] += fresh.reshape(a, rows, c)
+        self._trace += increment
 
     def advance(self, codes: np.ndarray) -> None:
         """Absorb the rows of ``(B, N)`` transposed codes, each by the
@@ -668,10 +714,10 @@ class AccumulatorSet:
         ``t`` is ``S_k`` before the block plus the prefix sum of ``S_{k-1,
         t-1} @ R_t``, one batched product and one ``cumsum`` per order
         below the top, in row chunks whose three live stacks stay within
-        ``_STACK_BYTES``.  The top order takes one batched
-        :func:`_trace_products` of the ``S_{m-1}`` trajectory against the
-        snapshots, added to the running trace one row at a time.  Beyond
-        ``FACTOR_QUBITS`` each row takes the factored per-shot update.
+        ``_STACK_BYTES``.  The top order takes one batched ``einsum`` of
+        the ``S_{m-1}`` trajectory against the snapshots, added to the
+        running trace one row at a time.  Beyond ``FACTOR_QUBITS`` each row
+        takes the factored per-shot update and one gather of the diagonals.
         Either way every value equals the per-shot ``update``/``estimate``
         pair bit for bit: the top order's increments come from the same
         routine and are added in the same order, all entries are dyadic,
@@ -684,8 +730,7 @@ class AccumulatorSet:
         if self._split:
             for i, row in enumerate(codes):
                 self._absorb(row)
-                for k in range(self._m - 1):
-                    traces[i, k] = np.trace(self._matrices[k])
+                traces[i, :-1] = self._tiles.take(self._diagonal).sum(axis=1)
                 traces[i, -1] = self._trace
         else:
             step = max(1, _STACK_BYTES // (3 * 16 * 4**self._n))
@@ -701,7 +746,7 @@ class AccumulatorSet:
         """Absorb a chunk of rows as stacked products (see :meth:`trajectory`)
         and write each order's trace after each row into ``traces``."""
         snaps = codes_matrix(codes)
-        mats = self._matrices
+        mats = self._dense()
         lower = None
         for k in range(self._m - 1):
             if lower is None:
@@ -717,11 +762,11 @@ class AccumulatorSet:
             traces[:, k] = np.trace(running, axis1=1, axis2=2)
             lower = running
         if lower is None:
-            increments = _trace_products(None, snaps)
+            increments = np.trace(snaps, axis1=1, axis2=2)
         else:
             increments = np.empty(len(snaps), dtype=np.complex128)
-            increments[:1] = _trace_products(mats[-1:], snaps[:1])
-            increments[1:] = _trace_products(lower[:-1], snaps[1:])
+            increments[:1] = np.einsum("tij,tji->t", mats[-1:], snaps[:1])
+            increments[1:] = np.einsum("tij,tji->t", lower[:-1], snaps[1:])
             mats[-1] = lower[-1]
         # Sequential adds from the stored trace, as the per-shot update makes.
         increments[0] += self._trace
@@ -736,13 +781,14 @@ class AccumulatorSet:
             )
         if self._shots < k:
             return _undefined(k, self._shots)
-        total = self._trace if k == self._m else np.trace(self._matrices[k - 1])
+        # np.trace of S_k, as the gather of its diagonal sums it.
+        total = self._trace if k == self._m else self._tiles.take(self._diagonal[k - 1]).sum()
         return _finish(k, self._shots, complex(total) / math.comb(self._shots, k))
 
     def _state_body(self) -> bytes:
         """The checkpoint payload: the matrices, row-major, then the top
         order's running trace."""
-        return self._matrices.tobytes() + struct.pack("<dd", self._trace.real, self._trace.imag)
+        return self._dense().tobytes() + struct.pack("<dd", self._trace.real, self._trace.imag)
 
     @classmethod
     def _from_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
@@ -762,16 +808,6 @@ class AccumulatorSet:
         body = _tail(blob, offset, 16 * order * dim * dim)
         mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
         return cls(order, part, n_qubits, mats[:-1], shots, complex(np.trace(mats[-1])))
-
-
-def _trace_products(lower: np.ndarray | None, snaps: np.ndarray) -> np.ndarray:
-    """``tr(L_t @ R_t)`` for the rows of two ``(rows, d, d)`` stacks, or
-    ``tr(R_t)`` without ``lower``: the top-order increments of an
-    :class:`AccumulatorSet`.  Each row's value depends on that row alone,
-    so a one-row call gives the bits of the same row in a block."""
-    if lower is None:
-        return np.trace(snaps, axis1=1, axis2=2)
-    return np.einsum("tij,tji->t", lower, snaps)
 
 
 class _RowwiseTrajectory:
@@ -930,6 +966,7 @@ class MomentStream:
         self._shots = 0
         self._n_qubits = n_qubits
         self._part = _part_qubits(part, n_qubits)
+        self._mask = _transpose_mask(self._part, n_qubits)
         self._estimator = _STRATEGIES[strategy](orders, self._part, n_qubits, n_batches)
 
     @property
@@ -943,7 +980,7 @@ class MomentStream:
 
     def update(self, snapshot: Snapshot) -> None:
         """:meth:`advance` by one shot of the stream's qubit count."""
-        self._estimator.advance(_row_codes(snapshot, self._n_qubits, self._part))
+        self._estimator.advance(_row_codes(snapshot, self._n_qubits, self._mask))
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:

@@ -154,7 +154,11 @@ def snapshot_codes(axes: np.ndarray, bits: np.ndarray, part) -> np.ndarray:
     only the low bit, the one that holds the outcome.
     """
     axes = np.asarray(axes)
-    mask = _transpose_mask(part, axes.shape[1])
+    return _masked_codes(axes, bits, _transpose_mask(part, axes.shape[1]))
+
+
+def _masked_codes(axes: np.ndarray, bits, mask: np.ndarray) -> np.ndarray:
+    """:func:`snapshot_codes` of an axes array, given the transposed qubits' mask."""
     return ((2 * axes + np.asarray(bits)) ^ (axes & mask)).astype(np.uint8, copy=False)
 
 
@@ -197,15 +201,16 @@ def batch_code_traces(
     """Evaluate the trace kernel for many index tuples via table lookup.
 
     ``codes`` is a ``(T, G)`` array of per-shot code columns and
-    ``tables`` a ``(G, B, ..., B)`` stack with one axis per tuple
-    position: row ``(i_1, ..., i_k)`` evaluates to the product over
-    columns ``g``, left to right, of ``tables[g, codes[i_1, g], ...,
-    codes[i_k, g]]``.  ``indices`` is a ``(K, k)`` index array or a
-    :class:`PairSum`, which evaluates to a one-element array: the sum of
-    the values of all its pairs, taken in the order :func:`_sum_pairs`
-    takes it (equal to a sum in lexicographic order bit for bit while no
-    partial sum rounds, and within the bound of the module docstring
-    past that).
+    ``tables`` a ``(G, B, ..., B)`` stack or a sequence of G ``(B, ...,
+    B)`` tables, one axis per tuple position, read in place (columns may
+    share one, by broadcasting or repeating it): row ``(i_1, ..., i_k)``
+    evaluates to the product over columns ``g``, left to right, of
+    ``tables[g][codes[i_1, g], ..., codes[i_k, g]]``.  ``indices`` is a
+    ``(K, k)`` index array or a :class:`PairSum`, which evaluates to a
+    one-element array: the sum of the values of all its pairs, taken in
+    the order :func:`_sum_pairs` takes it (equal to a sum in lexicographic
+    order bit for bit while no partial sum rounds, and within the bound
+    of the module docstring past that).
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -229,18 +234,21 @@ def batch_code_traces(
         if k < 1:
             raise ValueError("tuples must have at least one element")
         tables = np.broadcast_to(chain_trace_table(k).reshape((6,) * k), (groups,) + (6,) * k)
-    base = tables.shape[-1] if k else 1
-    if tables.shape != (groups,) + (base,) * k:
+    if isinstance(tables, np.ndarray):
+        shapes, flat = {tables.shape[1:]}, tables.reshape(len(tables), -1)
+    else:
+        shapes, flat = {np.shape(table) for table in tables}, [np.ravel(table) for table in tables]
+    shape = shapes.pop() if len(shapes) == 1 else None
+    base = shape[-1] if k and shape else 1
+    if len(flat) != groups or shape != (base,) * k:
         raise ValueError(
-            f"{k}-tuples over {groups} code columns need tables of shape "
-            f"{(groups,) + ('B',) * k}, got {tables.shape}"
+            f"{k}-tuples over {groups} code columns need {groups} tables of shape "
+            f"{('B',) * k}, got {len(flat)} of shape {shape or 'several'}"
         )
-    tables = np.ascontiguousarray(tables)
     if isinstance(indices, PairSum):
         return np.array([_sum_pairs(codes, indices, tables)])
     per_qubit = groups > 1 and base <= 6
     out = np.empty(count, dtype=np.complex128)
-    flat = tables.reshape(groups, -1)
     values, at = None, 0
     for size, keys in _index_keys(codes, indices, base):
         block = out[at : at + size]
@@ -302,7 +310,7 @@ def _later_shots(width: int) -> np.ndarray:
     return mask
 
 
-def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables: np.ndarray) -> complex:
+def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables) -> complex:
     """The kernel summed over the pairs ``i < j`` of ``range(n)``, by
     closing columns and BLAS dots.
 

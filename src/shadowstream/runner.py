@@ -963,11 +963,28 @@ def _check_replay_determinism() -> tuple[bool, str]:
     return ok, "replay and worker-count invariance" if ok else "records differ"
 
 
+def _check_complement_transpose() -> tuple[bool, str]:
+    # The complement transposes every transposed snapshot, which conjugates
+    # each kernel value exactly, so no estimate moves a bit.
+    record = stream_shadows(werner_state(4, 0.9), 30, 23)
+    for strategy in ("ustat", "plugin", "batched", "online-norecon", "online-recon"):
+        got = []
+        for part in ((2, 3), (0, 1)):
+            stream = MomentStream(strategy, (2, 3), part, 4, n_batches=5)
+            stream.advance(record.axes, record.bits)
+            estimates = stream.estimates().values()
+            got.append(np.array([(e.value, e.imag_magnitude) for e in estimates]).tobytes())
+        if got[0] != got[1]:
+            return False, f"{strategy} moves under the complement"
+    return True, "5 strategies bit-equal under the complement"
+
+
 _BATTERY = [
     ("werner-oracle-closure", _check_oracle_closure),
     ("partial-transpose-bit-flip", _check_bitflip),
     ("kernel-path-agreement", _check_kernel_agreement),
     ("online-equals-offline", _check_online_equals_offline),
+    ("complement-transpose", _check_complement_transpose),
     ("replay-determinism", _check_replay_determinism),
     ("born-sampler-agreement", _check_born_sampler),
 ]

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import shadowstream.estimators
 import shadowstream.kernel
+import shadowstream.sampler
 import shadowstream.states
 from shadowstream import (
     AccumulatorSet,
@@ -153,6 +156,20 @@ class TestOfflineUstat:
         assert abs(got.value - want.real) <= tolerance
         assert abs(got.imag_magnitude - abs(want.imag)) <= tolerance
 
+    def test_groups_share_one_order_three_table(self):
+        # Every whole group reads the same 36**3-entry table, built once and
+        # never copied per group, so the peak does not grow with N.
+        peaks = {}
+        for n in (4, 8):
+            record = random_record(n, 4, seed=n)
+            ustat_offline(record, 3, (0,))  # the chain tables are cached
+            tracemalloc.start()
+            ustat_offline(record, 3, (0,))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[8] <= 1.1 * peaks[4]
+        assert max(peaks.values()) < 1.7e6
+
 
 def per_qubit_index_sum(record, order, part, moduli=False) -> complex:
     """The order-``order`` kernel summed over index blocks in lexicographic
@@ -279,15 +296,18 @@ class TestOnlineRecordEstimator:
 class TestIncrementalCodes:
     @pytest.fixture
     def encoded_rows(self, monkeypatch):
-        """Row counts of every ``snapshot_codes`` call the estimators make."""
+        """Row counts of every encoding the estimators make: blocks through
+        ``snapshot_codes``, single shots through ``_masked_codes`` with the
+        mask their owner built once."""
         rows = []
-        original = shadowstream.estimators.snapshot_codes
+        for name in ("snapshot_codes", "_masked_codes"):
+            original = getattr(shadowstream.estimators, name)
 
-        def counting(axes, bits, part):
-            rows.append(len(axes))
-            return original(axes, bits, part)
+            def counting(axes, bits, part, original=original):
+                rows.append(len(axes))
+                return original(axes, bits, part)
 
-        monkeypatch.setattr(shadowstream.estimators, "snapshot_codes", counting)
+            monkeypatch.setattr(shadowstream.estimators, name, counting)
         return rows
 
     def test_each_shot_is_encoded_once(self, record, encoded_rows):
@@ -298,6 +318,29 @@ class TestIncrementalCodes:
             online.update(snap)
         assert encoded_rows == [1] * 60
         assert online.estimate().value == ustat_offline(record[:30], 3, PART).value
+
+    def test_per_shot_updates_build_no_mask(self, record, monkeypatch):
+        # The transposed-qubit mask is built once, at construction.
+        calls = []
+        original = shadowstream.kernel._transpose_mask
+
+        def counting(part, n_qubits):
+            calls.append(n_qubits)
+            return original(part, n_qubits)
+
+        for module in (shadowstream.kernel, shadowstream.estimators):
+            monkeypatch.setattr(module, "_transpose_mask", counting)
+        estimators = [
+            MomentStream("online-recon", (2, 3), PART, 2),
+            AccumulatorSet(3, PART, 2),
+            OnlineRecordEstimator(3, PART, 2),
+        ]
+        calls.clear()
+        for snap in list(record)[:50] * 2:
+            for est in estimators:
+                est.update(snap)
+        assert calls == []
+        assert [est.shots for est in estimators] == [100] * 3
 
     def test_restored_record_is_encoded_once(self, record, tmp_path, encoded_rows):
         # Once, when the estimator is rebuilt; later shots one by one.
@@ -645,6 +688,138 @@ class TestFactoredUpdate:
         assert resumed.matrices.tobytes() == full.matrices.tobytes()
         assert resumed.top_trace == full.top_trace
         assert resumed.shots == full.shots == 40
+
+
+@functools.cache
+def tiled_case(n):
+    """A short random record at ``n`` qubits and its dense order-5 products."""
+    record = random_record(n, {7: 8, 8: 8, 9: 6, 10: 5}[n], seed=70 + n)
+    part = tuple(range(n // 2, n))
+    return record, part, dense_products(record, 5, part)
+
+
+def exact_trace(record, order, part):
+    """The trace of ``S_order``, rounded once from its exact value: every
+    ordered subset's chain traces multiplied as Gaussian integers."""
+    codes = snapshot_codes(record.axes, record.bits, part).astype(int)
+    table = chain_trace_table(order) * 2**order
+    re_total = im_total = 0
+    for subset in itertools.combinations(range(len(record)), order):
+        re, im = 1, 0
+        for column in codes[list(subset)].T:
+            key = int(sum(c * 6 ** (order - 1 - j) for j, c in enumerate(column)))
+            a, b = int(table[key].real), int(table[key].imag)
+            re, im = re * a - im * b, re * b + im * a
+        re_total, im_total = re_total + re, im_total + im
+    scale = Fraction(1, 2 ** (order * record.n_qubits))
+    return complex(re_total * scale, im_total * scale)
+
+
+class TestTiledLayout:
+    """Past FACTOR_QUBITS the accumulators live factor-major in row tiles;
+    every read still sees the dense matrices."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_bytes_equal_the_dense_reference(self, n, order):
+        # Short records, inside the exact range: the running trace is the
+        # exact value, and the matrices are the dense products' bytes.
+        record, part, mats = tiled_case(n)
+        acc = accumulate(record, order, part)
+        assert acc.top_trace == exact_trace(record, order, part)
+        assert_equals_dense(acc, mats[:order])
+
+    def test_tiles_at_eight_qubits(self):
+        acc = AccumulatorSet(4, Bipartition.balanced(8), 8)
+        assert acc._tiles.shape == (4, 3, 16, 64, 16)
+        assert acc._scratch.nbytes <= shadowstream.estimators._STACK_BYTES
+        mats = acc.matrices
+        assert mats.shape == (3, 256, 256) and not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 1.0
+
+    def test_update_advance_and_trajectory_agree(self):
+        record = stream_shadows(werner_state(8, 0.6), 30, seed=81)
+        part = Bipartition.balanced(8)
+        codes = snapshot_codes(record.axes, record.bits, part.transposed)
+        by_shot, by_block, by_rows = (AccumulatorSet(4, part, 8) for _ in range(3))
+        by_block.advance(codes)
+        values, defined = by_rows.trajectory(codes, (2, 3, 4))
+        for t, snap in enumerate(record):
+            by_shot.update(snap)
+            want = [by_shot.estimate(m).value for m in (2, 3, 4)]
+            got = np.where(defined[t], values[t], np.nan)
+            assert np.array(want).tobytes() == got.tobytes()
+        for est in (by_block, by_rows):
+            assert est.matrices.tobytes() == by_shot.matrices.tobytes()
+            assert [est.estimate(m) for m in (1, 2, 3, 4)] == [
+                by_shot.estimate(m) for m in (1, 2, 3, 4)
+            ]
+
+    def test_shots_build_no_dense_snapshot(self, monkeypatch):
+        # The factors are 16 x 16 and every buffer is kept; no product is a
+        # dense snapshot, an einsum or a fresh 2**N x 2**N temporary.
+        sizes = []
+        kron = shadowstream.sampler._kron
+
+        def recording(a, b):
+            out = kron(a, b)
+            sizes.append(out.shape[-1])
+            return out
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum in a per-shot update")
+
+        monkeypatch.setattr(shadowstream.sampler, "_kron", recording)
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        record = stream_shadows(werner_state(8, 0.6), 51, seed=82)
+        acc = AccumulatorSet(4, Bipartition.balanced(8), 8)
+        acc.update(record[0])
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        for snap in record[1:]:
+            acc.update(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - base < 64 * 1024
+        assert max(sizes) == 16
+
+
+class TestComplementIdentity:
+    """Transposing the complement transposes every transposed snapshot, so
+    every kernel value is conjugated exactly: each estimate keeps its value
+    and imaginary magnitude bit for bit."""
+
+    @staticmethod
+    def estimates(strategy, record, part, orders):
+        n = record.n_qubits
+        stream = MomentStream(strategy, orders, part, n, n_batches=max(orders))
+        stream.advance(record.axes, record.bits)
+        pairs = [(e.value, e.imag_magnitude) for e in stream.estimates().values()]
+        return np.array(pairs).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, strategy",
+        [(n, s) for n in (2, 4, 6) for s in sorted(shadowstream.estimators._STRATEGIES)]
+        + [(8, s) for s in ("online-recon", "online-norecon", "plugin", "batched", "ustat")],
+    )
+    def test_strategies(self, n, strategy):
+        record = stream_shadows(werner_plus_mixed(n, 0.6), 24 if n < 8 else 12, seed=90 + n)
+        part = tuple(range(n // 2))
+        rest = tuple(range(n // 2, n))
+        orders = (2, 3, 4)
+        assert self.estimates(strategy, record, part, orders) == self.estimates(
+            strategy, record, rest, orders
+        )
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_offline_ustat(self, n, order):
+        record = random_record(n, 14, seed=n + order)
+        one, other = (ustat_offline(record, order, range(first, n, 2)) for first in (0, 1))
+        assert np.array([one.value, one.imag_magnitude]).tobytes() == np.array(
+            [other.value, other.imag_magnitude]
+        ).tobytes()
 
 
 class TestMomentStream:

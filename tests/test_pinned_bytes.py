@@ -120,6 +120,8 @@ EXPORT_DIGESTS = {  # (JSON, CSV)
 
 CHECKPOINT_DIGESTS = {
     "accumulator": "0940c8f9ce85115f5ea6d950d1d05c437d298f9677a782c5e279af918f191672",
+    # Eight qubits: the accumulators live in row tiles and pack as dense matrices.
+    "accumulator-n8": "927ec548155dd829aaf833c0d479034569d034761a8798cc545afc67f98bd7e8",
     "record": "645b8f3c5ca1eae2efe34e2fe3123225ceddc3e2b850151caa3a2ae39d096ab4",
 }
 
@@ -139,6 +141,9 @@ def checkpoint_estimator(kind: str):
     if kind == "accumulator":
         est = AccumulatorSet(3, (1,), 2)
         record = stream_shadows(werner_state(2, 5.0 / 6.0), 40, seed=77)
+    elif kind == "accumulator-n8":
+        est = AccumulatorSet(3, Bipartition.balanced(8), 8)
+        record = stream_shadows(werner_state(8, 0.6), 12, seed=808)
     else:
         est = OnlineRecordEstimator(3, Bipartition.balanced(4), 4)
         record = stream_shadows(werner_state(4, 0.9), 30, seed=78)
@@ -152,7 +157,7 @@ def test_exports_match_pinned_digests(name, tmp_path):
     assert export_digests(name, tmp_path) == EXPORT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("kind", ["accumulator", "record"])
+@pytest.mark.parametrize("kind", sorted(CHECKPOINT_DIGESTS))
 def test_checkpoints_match_pinned_digests(kind, tmp_path):
     path = tmp_path / "state.ckpt"
     save_estimator_state(checkpoint_estimator(kind), path)

@@ -491,7 +491,7 @@ class TestCli:
     def test_verification_battery(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 7
         assert "[PASS] born-sampler-agreement: 27 bases" in out
         assert "[FAIL]" not in out
 
