@@ -63,15 +63,13 @@ from .kernel import (
     CHAIN_TABLE_MAX,
     PairSum,
     Scratch,
-    _group_tables,
     _masked_codes,
     _transpose_mask,
     batch_code_traces,
     batch_tuple_traces,
-    chain_trace_table,
-    closing_tables,
     factors_from_codes,
     group_codes,
+    group_tables,
     group_width,
     pt_flip,  # unused here, but perfbench/layers.py wraps estimators.pt_flip
     snapshot_codes,
@@ -106,10 +104,6 @@ FACTOR_QUBITS = 6
 # Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update, and
 # on the kept scratch that sets the accumulators' tile rows past FACTOR_QUBITS.
 _STACK_BYTES = 1 << 20
-
-# Shots whose closing tables are built together: one stack of a few tables
-# per order (4 * 1296 entries per code column at most) amortises the calls.
-_TABLE_SHOTS = 4
 
 # The kind field of an SSES checkpoint (see :func:`save_estimator_state`).
 # Kind 2 holds all ``order`` accumulator matrices, as written before the top
@@ -176,19 +170,24 @@ def _finish(order: int, shots: int, scaled: complex, dropped: int = 0) -> Moment
     return MomentEstimate(order, shots, scaled.real, True, abs(scaled.imag), dropped)
 
 
-def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None, scratch=None) -> complex:
+def _kernel_sum(
+    codes: np.ndarray, k: int, tables=None, closing=None, scratch=None, closing_first=False
+) -> complex:
     """The trace kernel summed over the k-subsets of the rows of ``codes``.
 
-    With ``tables``, a :func:`batch_code_traces` lookup in them: pairs are
-    summed as one :class:`PairSum` working in ``scratch``, every other
-    subset comes from the index blocks of :func:`subset_index_chunks`.
+    With ``tables`` (``closing_first``: a tuple's last member on their
+    first axis), a :func:`batch_code_traces` lookup in them: singles and
+    pairs are summed as one :class:`PairSum` working in ``scratch``, every
+    other subset comes from the index blocks of :func:`subset_index_chunks`.
     Without ``tables``, the 2x2 factor chains of per-qubit ``codes``, each
     closed by the ``closing`` factors when given.  Index blocks are summed
     block by block, in lexicographic order, so the reduction order depends
     only on the shape.
     """
-    if tables is not None and k == 2:
-        return batch_code_traces(codes, PairSum(len(codes), scratch or Scratch()), tables)[0]
+    if tables is not None and k in (1, 2):
+        if closing_first:
+            tables = [table.T for table in tables]
+        return batch_code_traces(codes, PairSum(len(codes), k, scratch or Scratch()), tables)[0]
     total = 0.0 + 0.0j
     if tables is None:
         factors = factors_from_codes(codes)
@@ -196,6 +195,8 @@ def _kernel_sum(codes: np.ndarray, k: int, tables=None, closing=None, scratch=No
             total += batch_tuple_traces(factors, chunk, closing).sum()
     else:
         for chunk in subset_index_chunks(len(codes), k):
+            if closing_first:
+                chunk = np.roll(chunk, 1, axis=1)
             total += batch_code_traces(codes, chunk, tables).sum()
     return total
 
@@ -207,15 +208,14 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     of the record, so the result is an unbiased estimate of the m-th
     moment.  Needs at least ``order`` shots.
 
-    Up to ``CHAIN_TABLE_MAX`` the kernel is looked up in the layout the
-    record-only engine reads: the :func:`group_codes` of
-    :func:`group_width` qubits (two at orders 2 and 3, one from order 4),
-    every group's chain tables combined as :func:`closing_tables`
-    combines its folded ones.  The pairs of order 2 are summed by BLAS
-    dots (a :class:`PairSum`), higher orders over index blocks in
-    lexicographic order; past ``CHAIN_TABLE_MAX`` the 2x2 factor chains
-    are multiplied out.  The sum equals a per-qubit lookup in
-    lexicographic order bit for bit while ``C(T, m) *
+    Up to ``CHAIN_TABLE_MAX`` the kernel is looked up in the
+    :func:`group_tables` that the record-only engine slices, over the
+    :func:`group_codes` of :func:`group_width` qubits (two at orders 2 and
+    3, one from order 4), each tuple's last member first.  The pairs of
+    order 2 are summed by BLAS dots (a :class:`PairSum`), higher orders
+    over index blocks in lexicographic order; past ``CHAIN_TABLE_MAX`` the
+    2x2 factor chains are multiplied out.  The sum equals a per-qubit
+    lookup in lexicographic order bit for bit while ``C(T, m) *
     CHAIN_NUMERATORS[m]**N <= 2**53`` (at order 2, T up to 335 544 at N =
     4 and 839 at N = 8) and stays within the rounding bound of the
     :mod:`~shadowstream.kernel` docstring past that.
@@ -229,13 +229,10 @@ def ustat_offline(record: ShadowRecord, order: int, part) -> MomentEstimate:
     codes = snapshot_codes(record.axes, record.bits, part)
     tables = None
     if order <= CHAIN_TABLE_MAX:
-        n, width = record.n_qubits, group_width(order, record.n_qubits)
-        # One table per distinct group: a whole one, and a padded last one.
-        per_qubit = np.broadcast_to(chain_trace_table(order), (width + n % width, 6**order))
-        distinct = _group_tables(per_qubit, order, width)
-        tables = [distinct[0]] * (-(-n // width) - 1) + [distinct[-1]]
+        width = group_width(order, record.n_qubits)
+        tables = group_tables(order, record.n_qubits, width)
         codes = group_codes(codes, width)
-    total = _kernel_sum(codes, order, tables)
+    total = _kernel_sum(codes, order, tables, closing_first=True)
     return _finish(order, shots, total / math.comb(shots, order))
 
 
@@ -316,26 +313,27 @@ class _RecordSums:
     record is kept only as transposed codes: ``codes`` (a restored
     record's, whose subsets ``sums`` already hold) and each ``(B, N)``
     block that ``advance`` and ``trajectory`` take go in with one write,
-    each shot's :func:`group_codes` beside its codes.
+    each shot's :func:`group_codes` beside its codes (``intp``, by column).
 
     The new shot is the last member of every subset it closes, so an
-    order-m update folds its codes into the chain tables once
-    (:func:`closing_tables`, built for ``_TABLE_SHOTS`` shots of a block
-    at a time) and evaluates only the ``(m-1)``-subsets of
-    the past: ``N / g`` gathers and multiplies per tuple, with ``g =
+    order-m update slices its closing tables out of the :func:`group_tables`
+    (built once per process: +746 KB at order 3, twice that for odd N) at
+    its group codes and evaluates only the ``(m-1)``-subsets of the past:
+    ``N / g`` gathers and multiplies per tuple, with ``g =
     group_width(m, N)`` qubits per gather (2 at m = 2 and 3, which share
     one set of group codes, 1 from m = 4), instead of ``m * N`` code
     gathers, ``N`` table gathers and ``N`` multiplies.  Orders past
     ``CHAIN_TABLE_MAX`` close each 2x2 factor chain with the new shot's
     factors instead.
 
-    The pairs that an order-3 update closes reach the kernel as one
-    :class:`PairSum`: each code column's closing columns (its table at
-    the earlier shots' codes, 36 entries per shot) are gathered at the
-    first shots' codes, a tile of first indices by a column block of
-    later shots at a time, and one BLAS dot per tile sums the products,
-    with no value array.  The work is per pair, and the state is still
-    the O(T * N) codes.
+    The shots that an order-2 update closes (a gather per code column) and
+    the pairs that an order-3 update closes reach the kernel as one
+    :class:`PairSum` each.  For pairs, each code column's closing columns
+    (its table at the earlier shots' codes, 36 entries per shot) are
+    gathered at the first shots' codes, a tile of first indices by a
+    column block of later shots at a time, and one BLAS dot per tile sums
+    the products, with no value array.  The work is per subset, and the
+    state is still the O(T * N) codes.
 
     Every ``2**m`` times a chain trace has modulus at most
     ``CHAIN_NUMERATORS[m]`` (56 at m = 3), so while the partial products
@@ -353,10 +351,11 @@ class _RecordSums:
             raise ValueError(f"need at least one qubit, got {n_qubits}")
         self.sums = sums
         self._widths = {m: group_width(m, n_qubits) for m in sums if m <= CHAIN_TABLE_MAX}
+        self._tables = {m: group_tables(m, n_qubits, g) for m, g in self._widths.items()}
         self._codes = np.empty((0, n_qubits), dtype=np.uint8)
-        self._grouped = {
-            g: np.empty((0, -(-n_qubits // g)), dtype=np.uint16)
-            for g in set(self._widths.values()) - {1}
+        self._columns = {  # column-major, so that each group's codes are contiguous
+            g: np.empty((16, -(-n_qubits // g)), dtype=np.intp, order="F")
+            for g in set(self._widths.values())
         }
         self._shots = 0
         self._scratch = Scratch()
@@ -386,11 +385,11 @@ class _RecordSums:
         done, total = self._shots, self._shots + len(codes)
         if total > self._codes.shape[0]:
             self._codes = _grown(self._codes, done, total)
-            for g, grouped in self._grouped.items():
-                self._grouped[g] = _grown(grouped, done, total)
+            for g, columns in self._columns.items():
+                self._columns[g] = _grown(columns, done, total)
         self._codes[done:total] = codes
-        for g, grouped in self._grouped.items():
-            grouped[done:total] = group_codes(codes, g)
+        for g, columns in self._columns.items():
+            columns[done:total] = group_codes(codes, g)
         self._shots = total
         return done
 
@@ -398,31 +397,25 @@ class _RecordSums:
         """Add the subsets closed by each stored shot from ``start`` on;
         return the running sums of ``orders`` after each of those shots,
         ``(shots, len(orders))``."""
-        total = self._shots
-        sums = np.empty((total - start, len(orders)), dtype=np.complex128)
-        for lo in range(start, total, _TABLE_SHOTS):
-            shots = range(lo, min(lo + _TABLE_SHOTS, total))
-            tables = {
-                m: closing_tables(m, self._codes[lo : shots.stop], g)
-                for m, g in self._widths.items()
-            }
-            for latest in shots:
-                for m in self.sums:
-                    if latest >= m - 1:
-                        closing = tables[m][latest - lo] if m in tables else None
-                        self.sums[m] += self._fresh(m, latest, closing)
-                sums[latest - start] = [self.sums[m] for m in orders]
+        sums = np.empty((self._shots - start, len(orders)), dtype=np.complex128)
+        for latest in range(start, self._shots):
+            keys = {g: columns[latest].tolist() for g, columns in self._columns.items()}
+            for m in self.sums:
+                if latest >= m - 1:
+                    tables = self._tables.get(m)  # slices at the shot's group codes
+                    closing = tables and [t[w] for t, w in zip(tables, keys[self._widths[m]])]
+                    self.sums[m] += self._fresh(m, latest, closing)
+            sums[latest - start] = [self.sums[m] for m in orders]
         return sums
 
-    def _fresh(self, m: int, latest: int, tables: np.ndarray | None) -> complex:
+    def _fresh(self, m: int, latest: int, tables) -> complex:
         """The kernel summed over the m-subsets that shot ``latest`` closes;
         ``tables`` are its :func:`closing_tables` (``None`` past
         ``CHAIN_TABLE_MAX``, where its 2x2 factors close the chains)."""
         if m > CHAIN_TABLE_MAX:
             closing = factors_from_codes(self._codes[latest])
             return _kernel_sum(self._codes[:latest], m - 1, closing=closing)
-        g = self._widths[m]
-        codes = (self._codes if g == 1 else self._grouped[g])[:latest]
+        codes = self._columns[self._widths[m]][:latest]
         return _kernel_sum(codes, m - 1, tables, scratch=self._scratch)
 
     def estimate(self, order: int) -> MomentEstimate:
@@ -440,8 +433,8 @@ def _row_codes(snapshot: Snapshot, n_qubits: int, mask: np.ndarray) -> np.ndarra
 
 
 def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
-    """A copy of the first ``done`` rows with room for at least ``total``."""
-    grown = np.empty((max(16, 2 * total),) + rows.shape[1:], dtype=rows.dtype)
+    """A copy of the first ``done`` rows, memory order kept, with room for at least ``total``."""
+    grown = np.empty_like(rows, shape=(max(16, 2 * total),) + rows.shape[1:])
     grown[:done] = rows[:done]
     return grown
 
@@ -454,11 +447,11 @@ class OnlineRecordEstimator:
     quadratically slower (for m = 3) as the record grows, but no
     2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
     are pairs of the past, summed at every N by BLAS dots over closing
-    columns, the new shot's tables at the later shots' codes gathered at
-    the first shots' codes: bit-equal to the offline U-statistic while
-    no partial sum rounds (see ``_RecordSums``), within the rounding
-    bound of the :mod:`~shadowstream.kernel` docstring past that.  Work
-    per pair, state still O(T * N).
+    columns (slices of tables built once per process, +746 KB, twice that
+    for odd N) gathered at the first shots' codes: bit-equal to the
+    offline U-statistic while no partial sum rounds (see ``_RecordSums``),
+    within the rounding bound of the :mod:`~shadowstream.kernel`
+    docstring past that.  Work per pair, state still O(T * N).
 
     The estimator keeps its :class:`ShadowRecord` for ``record`` and for
     checkpoints; its ``_RecordSums`` engine reads transposed codes, a
@@ -527,6 +520,7 @@ class OnlineRecordEstimator:
     def _from_state(cls, blob: bytes, offset: int, order, part, n_qubits, shots):
         """The estimator whose payload runs from ``offset`` to the end of ``blob``."""
         (re, im, size), offset = _unpack("<ddQ", blob, offset)
+        _check_finite("running sum", (re, im))
         record = ShadowRecord.from_bytes(_tail(blob, offset, size))
         if len(record) != shots:
             raise ValueError("checkpoint record length disagrees with header")
@@ -798,6 +792,8 @@ class AccumulatorSet:
         body = _tail(blob, offset, size + 16)
         mats = np.frombuffer(body[:size], dtype=np.complex128).reshape(order - 1, dim, dim)
         re, im = struct.unpack_from("<dd", body, size)
+        _check_finite("accumulator matrices", mats)
+        _check_finite("top-order trace", (re, im))
         return cls(order, part, n_qubits, mats, shots, complex(re, im))
 
     @classmethod
@@ -807,6 +803,7 @@ class AccumulatorSet:
         dim = 2**n_qubits
         body = _tail(blob, offset, 16 * order * dim * dim)
         mats = np.frombuffer(body, dtype=np.complex128).reshape(order, dim, dim)
+        _check_finite("accumulator matrices", mats)
         return cls(order, part, n_qubits, mats[:-1], shots, complex(np.trace(mats[-1])))
 
 
@@ -1063,6 +1060,12 @@ def _unpack(fmt: str, blob: bytes, offset: int) -> tuple[tuple, int]:
     return struct.unpack_from(fmt, blob, offset), end
 
 
+def _check_finite(field: str, values) -> None:
+    """Raise ``ValueError`` unless a checkpoint ``field``'s numbers are all finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"checkpoint field {field!r} holds a NaN or infinity")
+
+
 def _tail(blob: bytes, offset: int, size: int) -> bytes:
     """The last ``size`` bytes of a checkpoint, which must end right there."""
     if len(blob) != offset + size:
@@ -1078,11 +1081,11 @@ def load_estimator_state(path):
     The returned estimator continues exactly as if the stream had never
     been interrupted.  A file that is not exactly one checkpoint (foreign
     magic, unknown version or kind, a part list that is not strictly
-    increasing, truncated or with trailing bytes) raises
-    :class:`ValueError`; whatever loads packs back to the same bytes,
-    except a kind-2 accumulator checkpoint (all ``order`` matrices, the
-    layout before the top order became a running trace), which packs as
-    kind 3.
+    increasing, truncated or with trailing bytes) or that holds a NaN or
+    infinity (the error names the field) raises :class:`ValueError`;
+    whatever loads packs back to the same bytes, except a kind-2
+    accumulator checkpoint (all ``order`` matrices, the layout before the
+    top order became a running trace), which packs as kind 3.
     """
     with open(path, "rb") as fh:
         return _unpack_state(fh.read())

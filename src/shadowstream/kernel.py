@@ -20,16 +20,16 @@ chain traces become table lookups, with results identical bit for bit
 to multiplying the matrices out.
 
 The record-only estimator adds each new shot's subsets, all of which end
-in that shot.  It folds the shot's codes into the chain tables once
-(:func:`closing_tables`) and looks up only the earlier members; runs of
-qubits share one lookup through combined codes (:func:`group_codes`,
-:func:`group_width` of them).  The offline U-statistic reads whole tuples
-in the same groups, its chain tables grouped by the same step.  A set of
-pairs (those of the past that an order-3 shot closes, and the order-2
-U-statistic's) is summed by a :class:`PairSum`: each code column's
-closing columns (its table at the later shots' codes) are gathered at
-the first shots' codes, a tile of first indices by a column block of
-later shots at a time, and one BLAS dot sums the tile.  Every other
+in that shot.  Its closing tables (:func:`closing_tables`) are slices, at
+the shot's group codes, of tables of whole tuples built once per process
+(:func:`group_tables`, which the offline U-statistic reads too); runs of
+qubits share one lookup through combined codes (:func:`group_codes`).
+A set of pairs (those of the past that an order-3 shot closes, and the
+order-2 U-statistic's) is summed by a :class:`PairSum`: each code
+column's closing columns (its table at the later shots' codes) are
+gathered at the first shots' codes, a tile of first indices by a column
+block of later shots at a time, and one BLAS dot sums the tile; so are
+the single shots an order-2 shot closes, a gather each.  Every other
 subset comes as the index blocks of :func:`subset_index_chunks`, whose
 lookup keys give every value in lexicographic order.
 
@@ -75,6 +75,7 @@ __all__ = [
     "batch_code_traces",
     "group_width",
     "group_codes",
+    "group_tables",
     "closing_tables",
     "subset_index_chunks",
     "PairSum",
@@ -207,10 +208,10 @@ def batch_code_traces(
     evaluates to the product over columns ``g``, left to right, of
     ``tables[g][codes[i_1, g], ..., codes[i_k, g]]``.  ``indices`` is a
     ``(K, k)`` index array or a :class:`PairSum`, which evaluates to a
-    one-element array: the sum of the values of all its pairs, taken in
-    the order :func:`_sum_pairs` takes it (equal to a sum in lexicographic
-    order bit for bit while no partial sum rounds, and within the bound
-    of the module docstring past that).
+    one-element array: the sum of the values of all its subsets, taken in
+    the order :func:`_sum_pairs` or :func:`_sum_singles` takes it (equal to
+    a sum in lexicographic order bit for bit while no partial sum rounds,
+    and within the bound of the module docstring past that).
 
     The default ``tables`` is :func:`chain_trace_table` for every column,
     so with the six-valued per-qubit codes of :func:`snapshot_codes` each
@@ -222,31 +223,29 @@ def batch_code_traces(
     :func:`group_codes` multiply elementwise, left to right.
     """
     codes = np.asarray(codes)
-    if isinstance(indices, PairSum):
-        count, k = len(indices), 2
-    else:
+    summed = isinstance(indices, PairSum)
+    if not summed:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 2:
             raise ValueError(f"indices must be (K, k), got shape {indices.shape}")
-        count, k = indices.shape
-    groups = codes.shape[1]
+    k, groups = indices.k if summed else indices.shape[1], codes.shape[1]
     if tables is None:
         if k < 1:
             raise ValueError("tuples must have at least one element")
         tables = np.broadcast_to(chain_trace_table(k).reshape((6,) * k), (groups,) + (6,) * k)
-    if isinstance(tables, np.ndarray):
-        shapes, flat = {tables.shape[1:]}, tables.reshape(len(tables), -1)
-    else:
-        shapes, flat = {np.shape(table) for table in tables}, [np.ravel(table) for table in tables]
+    if summed and k in (1, 2) and len(tables) == groups:  # tables read as given
+        return np.array([(_sum_pairs if k == 2 else _sum_singles)(codes, indices, tables)])
+    stacked = isinstance(tables, np.ndarray)
+    shapes = {tables.shape[1:]} if stacked else {np.shape(table) for table in tables}
     shape = shapes.pop() if len(shapes) == 1 else None
     base = shape[-1] if k and shape else 1
-    if len(flat) != groups or shape != (base,) * k:
+    if summed or len(tables) != groups or shape != (base,) * k:
         raise ValueError(
             f"{k}-tuples over {groups} code columns need {groups} tables of shape "
-            f"{('B',) * k}, got {len(flat)} of shape {shape or 'several'}"
+            f"{('B',) * k}, got {len(tables)} of shape {shape or 'several'}"
         )
-    if isinstance(indices, PairSum):
-        return np.array([_sum_pairs(codes, indices, tables)])
+    flat = tables.reshape(groups, -1) if stacked else [np.ravel(table) for table in tables]
+    count = len(indices)
     per_qubit = groups > 1 and base <= 6
     out = np.empty(count, dtype=np.complex128)
     values, at = None, 0
@@ -326,7 +325,7 @@ def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables) -> complex:
     most ``_SUM_ROWS`` shots is one tile per block.
     """
     n, width, tile = pairs.n, _SUM_COLUMNS, _SUM_ROWS
-    columns = np.ascontiguousarray(codes[:n].T, dtype=np.intp)
+    columns = codes[:n].T.astype(np.intp, copy=False)
     later = _later_shots(width)
     # Room for one tile, a short record's rounded up to whole blocks, so
     # that the buffer grows once per block of record length up to a tile.
@@ -348,6 +347,15 @@ def _sum_pairs(codes: np.ndarray, pairs: PairSum, tables) -> complex:
                 inside = max(first, lo)
                 last[inside - first :] *= later[inside - lo : end - lo, : hi - lo]
             total += product.ravel() @ last.ravel() if len(columns) > 1 else last.sum()
+    return total
+
+
+def _sum_singles(codes: np.ndarray, singles: PairSum, tables) -> complex:
+    """The kernel summed over ``range(n)``, per block of ``subset_index_chunks(n, 1)``."""
+    total, columns = 0.0 + 0.0j, codes[: singles.n].T.astype(np.intp, copy=False)
+    for lo in range(0, singles.n, 1 << 16):
+        block = columns[:, lo : lo + (1 << 16)]
+        total += functools.reduce(np.multiply, map(np.take, tables, block)).sum()
     return total
 
 
@@ -379,44 +387,56 @@ def group_codes(codes: np.ndarray, width: int) -> np.ndarray:
     return padded.reshape(shots, groups, width) @ 6 ** np.arange(width - 1, -1, -1, dtype=np.uint16)
 
 
-def _group_tables(tables: np.ndarray, k: int, width: int) -> np.ndarray:
-    """Per-qubit ``(..., N, 6**k)`` tables of k-tuples as
-    :func:`batch_code_traces` tables over the :func:`group_codes` of
-    ``width`` qubits, ``(..., ceil(N / width), 6**width, ..., 6**width)``.
+_GROUP_TABLES: dict = {}  # (order, width, real qubits) -> (its chain table, table)
 
-    A group's table is the outer product of its qubits' tables, multiplied
-    left to right: axis ``(j, p)`` of its ``(6,) * (k * width)`` view is
-    qubit p's code at tuple position j, the base-6 digits of the group key
-    at position j.  The padding qubits of a short last group contribute
-    ones.
-    """
-    lead, n_qubits = tables.shape[:-2], tables.shape[-2]
-    groups = -(-n_qubits // width)
-    if n_qubits % width:
-        padded = np.ones(lead + (groups * width, 6**k), dtype=np.complex128)
-        padded[..., :n_qubits, :] = tables
-        tables = padded
-    qubits = tables.reshape(lead + (groups, width) + (6,) * k)
-    grouped = None
+
+def _group_tables(order: int, width: int, qubits: int) -> np.ndarray:
+    """The table of whole ``order``-tuples over the :func:`group_codes` of
+    ``width`` qubits (the first ``qubits`` real, the rest padding: ones),
+    closing member first, ``[w_m, w_1, ..., w_{m-1}]``, so that ``table[w]``
+    is the table of the tuples a shot of group code ``w`` closes.  Each
+    entry multiplies its qubits' chain traces left to right, in place; axis
+    ``(j, p)`` of the ``(6,) * (order * width)`` view is qubit p at position j."""
+    chain = np.moveaxis(chain_trace_table(order).reshape((6,) * order), -1, 0)
+    table = np.empty((6,) * (order * width), dtype=np.complex128)
     for p in range(width):
-        spread = tuple(6 if axis % width == p else 1 for axis in range(k * width))
-        factor = qubits[(..., p) + (slice(None),) * k].reshape(lead + (groups,) + spread)
-        grouped = factor if grouped is None else grouped * factor
-    return grouped.reshape(lead + (groups,) + (6**width,) * k)
+        factor = np.expand_dims(
+            chain if p < qubits else np.ones_like(chain),
+            tuple(a for a in range(order * width) if a % width != p),
+        )
+        if p:
+            table *= factor
+        else:
+            np.copyto(table, factor)
+    table.setflags(write=False)
+    return table.reshape((6**width,) * order)
+
+
+def group_tables(order: int, n_qubits: int, width: int) -> list[np.ndarray]:
+    """The :func:`_group_tables` of the ``ceil(N / width)`` groups, each
+    built once per process (again if :func:`chain_trace_table` changes):
+    one shared by the whole groups, a padded one for a short last group."""
+    chain, tables = chain_trace_table(order), []
+    for qubits in [width] * (n_qubits // width) + [n_qubits % width] * (n_qubits % width > 0):
+        key = order, width, qubits
+        if _GROUP_TABLES.get(key, (None,))[0] is not chain:
+            _GROUP_TABLES[key] = chain, _group_tables(order, width, qubits)
+        tables.append(_GROUP_TABLES[key][1])
+    return tables
 
 
 def closing_tables(order: int, last: np.ndarray, width: int) -> np.ndarray:
     """:func:`batch_code_traces` tables for ``(order - 1)``-tuples closed
     by one fixed shot with per-qubit codes ``last``, over the
-    :func:`group_codes` of ``width`` qubits; a stack of them for a ``(...,
-    N)`` stack of shots.
-
-    Qubit q's folded table ``chain_trace_table(order).reshape(-1, 6)[:,
-    last[q]]`` holds the traces of every chain that ends in that shot, and
-    :func:`_group_tables` combines the folded tables of each group.
+    :func:`group_codes` of ``width`` qubits (a stack of them for a ``(...,
+    N)`` stack of shots): the slices of the :func:`group_tables` at the
+    shot's group codes, the traces of every chain that ends in that shot.
     """
-    folded = chain_trace_table(order).reshape(-1, 6).T[last]
-    return _group_tables(folded, order - 1, width)
+    last = np.asarray(last)
+    tables = group_tables(order, last.shape[-1], width)
+    keys = group_codes(last.reshape(-1, last.shape[-1]), width)
+    stack = np.stack([table[keys[:, g]] for g, table in enumerate(tables)], axis=1)
+    return stack.reshape(last.shape[:-1] + stack.shape[1:])
 
 
 def batch_tuple_traces(
@@ -456,12 +476,10 @@ def batch_tuple_traces(
 def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndarray]:
     """Yield the k-subsets of ``range(n)`` in lexicographic order, in blocks.
 
-    Each block is an ``(r, k)`` int64 array of ``rows`` subsets, the last
-    one shorter.  Single indices are built directly in numpy, since the
-    order-2 closings of a record-only update read them; larger sizes come
-    from ``itertools.combinations``.  Block boundaries depend only on
-    ``(n, k, rows)``, which fixes the reduction order of sums taken block
-    by block.  ``rows`` below 1 raises ``ValueError``.
+    Each block is an ``(r, k)`` int64 array of ``rows`` subsets from
+    ``itertools.combinations``, the last one shorter.  Block boundaries
+    depend only on ``(n, k, rows)``, which fixes the reduction order of
+    sums taken block by block.  ``rows`` below 1 raises ``ValueError``.
     """
     if rows < 1:
         raise ValueError(f"blocks need at least one row, got rows={rows}")
@@ -469,10 +487,6 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
         return
     if k == 0:
         yield np.empty((1, 0), dtype=np.int64)
-        return
-    if k == 1:
-        for lo in range(0, n, rows):
-            yield np.arange(lo, min(lo + rows, n), dtype=np.int64)[:, None]
         return
     iterator = itertools.combinations(range(n), k)
     while True:
@@ -484,17 +498,18 @@ def subset_index_chunks(n: int, k: int, rows: int = 1 << 16) -> Iterable[np.ndar
 
 @dataclass(frozen=True)
 class PairSum:
-    """Every pair ``(i, j)`` of ``range(n)`` with ``i < j``, to be summed:
-    :func:`batch_code_traces` evaluates it to a one-element array holding
-    the sum of the pairs' values, working in ``scratch`` (a caller that
-    sums pairs again and again passes the same one).  ``len`` is its pair
-    count."""
+    """Every pair ``(i, j)`` of ``range(n)`` with ``i < j`` (every single
+    index, with ``k = 1``), to be summed: :func:`batch_code_traces`
+    evaluates it to a one-element array holding the sum of their values,
+    pairs working in ``scratch`` (a caller that sums pairs again and again
+    passes the same one).  ``len`` is the number of subsets."""
 
     n: int
+    k: int = 2
     scratch: Scratch = field(default_factory=Scratch, compare=False, repr=False)
 
     def __len__(self) -> int:
-        return self.n * (self.n - 1) // 2
+        return self.n if self.k == 1 else self.n * (self.n - 1) // 2
 
 
 def _tuple_fields(snapshots: Sequence[Snapshot]):

@@ -944,14 +944,14 @@ def _check_born_sampler() -> tuple[bool, str]:
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    sampler = BornSampler(DensityMatrix(rho))
-    worst = 0.0
-    bases = list(itertools.product(range(3), repeat=3))
-    for axes in bases:
+    sampler, fresh = BornSampler(DensityMatrix(rho)), BornSampler(DensityMatrix(rho))
+    bases, worst = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.uint8), 0.0
+    for axes, (block, _) in zip(bases, fresh._cdfs(bases)):
         u = functools.reduce(np.kron, [rotations[a] for a in axes])
         dense = np.real(np.diag(u @ rho @ u.conj().T))
-        worst = max(worst, float(np.max(np.abs(sampler.probabilities(axes) - dense))))
-    return worst <= 1e-14, f"{len(bases)} bases, max deviation {worst:.2e}"
+        probs = np.stack([sampler.probabilities(axes), block])  # per basis, and as blocks do
+        worst = max(worst, float(np.max(np.abs(probs - dense))))
+    return worst <= 1e-14, f"{len(bases)} bases, single and stacked, max deviation {worst:.2e}"
 
 
 def _check_replay_determinism() -> tuple[bool, str]:

@@ -330,10 +330,10 @@ def _pauli_expectations(rho: DensityMatrix) -> np.ndarray:
 
 
 def _walsh_hadamard(values: np.ndarray) -> None:
-    """In-place unnormalized Walsh-Hadamard transform of a length-2**N vector."""
-    for q in range(values.size.bit_length() - 1):
-        pairs = values.reshape(1 << q, 2, -1)
-        low, high = pairs[:, 0], pairs[:, 1]
+    """In-place unnormalized Walsh-Hadamard transform of each row of ``(..., 2**N)``."""
+    for q in range(values.shape[-1].bit_length() - 1):
+        pairs = values.reshape(values.shape[:-1] + (1 << q, 2, -1))
+        low, high = pairs[..., 0, :], pairs[..., 1, :]
         total = low + high
         np.subtract(low, high, out=high)
         low[...] = total
@@ -374,25 +374,27 @@ class BornSampler:
         axes = _coerce_fields(axes, "axes", 3)
         if axes.size != self._n:
             raise ValueError(f"expected {self._n} axes, got {axes.size}")
-        return self._cdf(axes.tobytes(), axes)[0]
+        return self._cdfs(axes.reshape(1, -1))[0][0]
 
-    def _cdf(self, key: bytes, axes: np.ndarray):
-        if self._cache is not None and key in self._cache:
-            return self._cache[key]
-        probs = self._expectations[self._places @ (axes.astype(np.int64) + 1)]
-        _walsh_hadamard(probs)
-        probs *= 0.5**self._n
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum()
-        entry = (probs, np.cumsum(probs))
-        if self._cache is not None:
-            self._cache[key] = entry
-        return entry
+    def _cdfs(self, rows: np.ndarray) -> list:
+        """``(probabilities, cdf)`` of each ``(B, N)`` axis row, the uncached
+        rows in one stacked pass, each row's arithmetic as if alone."""
+        cache = {} if self._cache is None else self._cache
+        keys = [row.tobytes() for row in rows]
+        missing = [i for i, key in enumerate(keys) if key not in cache]
+        if missing:
+            probs = self._expectations[(rows[missing].astype(np.int64) + 1) @ self._places.T]
+            _walsh_hadamard(probs)
+            probs *= 0.5**self._n
+            np.clip(probs, 0.0, None, out=probs)
+            probs /= probs.sum(axis=1, keepdims=True)
+            cache.update(zip([keys[i] for i in missing], zip(probs, np.cumsum(probs, axis=1))))
+        return [cache[key] for key in keys]
 
     def sample(self, rng: np.random.Generator) -> Snapshot:
         """Draw one snapshot: uniform axes, then Born-distributed outcome bits."""
         axes = rng.integers(0, 3, size=self._n, dtype=np.uint8)
-        _, cdf = self._cdf(axes.tobytes(), axes)
+        _, cdf = self._cdfs(axes[None])[0]
         u = rng.random()
         index = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
         bits = ((index >> self._shifts) & 1).astype(np.uint8)
@@ -417,7 +419,7 @@ class BornSampler:
             uniform = (raw_uniform[settled] >> np.uint64(11)) * 2.0**-53
             keys = drawn.astype(np.intp) @ 3 ** np.arange(n - 1, -1, -1)
             _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-            cdfs = np.array([self._cdf(row.tobytes(), row)[1] for row in drawn[first]])
+            cdfs = np.array([cdf for _, cdf in self._cdfs(drawn[first])])
             # ``searchsorted(cdf, u, side="right")`` counts the entries <= u.
             below = np.count_nonzero(cdfs.reshape(-1, 1 << n)[group] <= uniform[:, None], axis=1)
             index = np.minimum(below, (1 << n) - 1)

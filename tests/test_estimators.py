@@ -1,6 +1,7 @@
 """Estimator correctness, streaming identities, and checkpointing."""
 
 import functools
+import hashlib
 import itertools
 import math
 import struct
@@ -475,6 +476,68 @@ class TestClosingShotFold:
         grouped = group_width(m, n) > 1
         assert grouped == (m < 4)
         self.assert_fresh_sums_match(n, m, 8, seed=m, table=table, rounding=grouped)
+
+
+class TestRecordEngineLayout:
+    """The record-only engine slices its closing tables out of grouped
+    tables built once per process and sums an order-2 shot's earlier shots
+    without index blocks, keeping the bits of every streamed sum."""
+
+    # SHA-256 prefixes of the order-2 and order-3 running sums after every
+    # shot of a random record, as streamed when each block rebuilt its
+    # closing tables and order-2 closings came as index blocks.  Odd N pads
+    # the last group; order 3 at N = 7 and 8 (from 103 and 15 earlier
+    # shots) and both orders at N = 12 run past the exact range.
+    DIGESTS = {
+        (3, 150): "fefd60598c7e7ec0",
+        (4, 150): "16f90fc81f97a59c",
+        (5, 150): "2689311a7af4e96b",
+        (7, 150): "4f0717a0ad45ef4b",
+        (8, 150): "d688a25225841dd8",
+        (12, 40): "b0fa2d521589dbe9",
+    }
+
+    @pytest.mark.parametrize("n, shots", sorted(DIGESTS))
+    def test_streamed_sums_keep_their_bits(self, n, shots):
+        codes = np.random.default_rng(n).integers(0, 6, (shots, n)).astype(np.uint8)
+        sums = _RecordSums(n, {2: 0j, 3: 0j})
+        trail = []
+        for t in range(shots):
+            sums.advance(codes[t : t + 1])
+            trail.append([sums.sums[2], sums.sums[3]])
+        digest = hashlib.sha256(np.array(trail, dtype=np.complex128).tobytes()).hexdigest()
+        assert digest[:16] == self.DIGESTS[n, shots]
+        blocks = _RecordSums(n, {2: 0j, 3: 0j})
+        for lo in range(0, shots, 32):
+            blocks.trajectory(codes[lo : lo + 32], [2, 3])
+        assert [blocks.sums[2], blocks.sums[3]] == trail[-1]
+
+    def test_each_grouped_table_is_built_once(self, monkeypatch):
+        built = []
+        build = shadowstream.kernel._group_tables
+        monkeypatch.setattr(shadowstream.kernel, "_GROUP_TABLES", {})
+        monkeypatch.setattr(
+            shadowstream.kernel, "_group_tables", lambda *key: built.append(key) or build(*key)
+        )
+        for n in (3, 4, 3, 4):
+            codes = np.random.default_rng(n).integers(0, 6, (30, n)).astype(np.uint8)
+            _RecordSums(n, {2: 0j, 3: 0j}).advance(codes)
+            ustat_offline(random_record(n, 12, seed=n), 3, (0,))
+        # (order, qubits per group, real qubits of the group)
+        assert sorted(built) == [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
+
+    def test_no_index_blocks_of_single_shots(self, monkeypatch):
+        sizes = []
+        chunks = shadowstream.estimators.subset_index_chunks
+        monkeypatch.setattr(
+            shadowstream.estimators,
+            "subset_index_chunks",
+            lambda n, k, *args: sizes.append(k) or chunks(n, k, *args),
+        )
+        record = stream_shadows(werner_state(4, 0.5), 40, seed=3)
+        stream = MomentStream("online-norecon", (2, 3, 4), (1, 3), 4)
+        stream.advance(record.axes, record.bits)
+        assert set(sizes) == {3}  # order 4 still sums triples in index blocks
 
 
 def assert_equals_dense(acc, mats):
@@ -1038,9 +1101,8 @@ def checkpointed(draw):
     )
     if accumulator:
         return accumulate(record, order, part)
-    return OnlineRecordEstimator(
-        order, part, n, record=record, running_sum=draw(st.complex_numbers())
-    )
+    finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    return OnlineRecordEstimator(order, part, n, record=record, running_sum=draw(finite))
 
 
 def flips_that_repack_differently(blob: bytes) -> list[int]:
@@ -1096,6 +1158,28 @@ class TestCheckpointDecoding:
                 _unpack_state(head + bytes(2) + bytes(32))
         with pytest.raises(ValueError, match="qubit"):
             AccumulatorSet(2, (), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_raise_naming_the_field(self, record, bad):
+        # A running sum, top-order trace or accumulator entry that is not
+        # finite would load and poison every later estimate.
+        start = shadowstream.estimators._STATE_HEADER.size + 2 + 2 * len(PART)
+        head = shadowstream.estimators._STATE_HEADER.pack(b"SSES", 1, 2, 3, 2, 5)
+        dense = head + struct.pack("<HH", 1, *PART) + dense_products(record[:5], 3, PART).tobytes()
+        online = _pack_state(OnlineRecordEstimator(2, PART, 2, record=record[:5]))
+        accumulators = _pack_state(accumulate(record[:5], 3, PART))
+        for blob, at, field in [
+            (online, start, "running sum"),
+            (online, start + 8, "running sum"),
+            (accumulators, start + 16 * 21 + 8, "accumulator matrices"),
+            (accumulators, len(accumulators) - 8, "top-order trace"),
+            (dense, start + 16 * 37, "accumulator matrices"),
+        ]:
+            assert np.isfinite(struct.unpack_from("<d", blob, at)[0])
+            patched = bytearray(blob)
+            patched[at : at + 8] = struct.pack("<d", bad)
+            with pytest.raises(ValueError, match=f"'{field}' holds a NaN or infinity"):
+                _unpack_state(bytes(patched))
 
     def test_rejects_a_part_list_that_is_not_strictly_increasing(self):
         blob = bytearray(_pack_state(OnlineRecordEstimator(2, (0, 2), 3)))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shadowstream.sampler
 from shadowstream import (
     BornSampler,
     DensityMatrix,
@@ -311,6 +312,26 @@ class TestBornSampler:
                 np.testing.assert_allclose(
                     sampler.probabilities(axes), dense, rtol=0, atol=1e-14
                 )
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_stacked_distributions_equal_one_basis_at_a_time(self, n):
+        # The block sampler computes its uncached bases in one stacked
+        # Walsh-Hadamard pass; each row keeps the bytes of a pass of its
+        # own, and the cache (up to 8 qubits) hands the same bytes back.
+        rng = np.random.default_rng(70 + n)
+        sampler = BornSampler(random_state(n, rng))
+        rows = np.unique(rng.integers(0, 3, (30, n)).astype(np.uint8), axis=0)
+        sampler.probabilities(rows[0])  # one row cached before the stacked pass
+        stacked = sampler._cdfs(rows)
+        for row, (probs, cdf) in zip(rows, stacked):
+            want = sampler._expectations[sampler._places @ (row.astype(np.int64) + 1)]
+            shadowstream.sampler._walsh_hadamard(want)
+            want *= 0.5**n
+            np.clip(want, 0.0, None, out=want)
+            want /= want.sum()
+            assert probs.tobytes() == want.tobytes()
+            assert cdf.tobytes() == np.cumsum(want).tobytes()
+            assert sampler.probabilities(row).tobytes() == want.tobytes()
 
     def test_sample_snapshot_helper(self):
         rho = werner_state(2, 0.5)

@@ -69,13 +69,14 @@ def opened_spans(tracer) -> set[str]:
 # Runs draw and estimate shots in blocks, and ``MomentStream`` encodes
 # each block once with ``snapshot_codes`` for every strategy.
 # ``shot_rng`` and ``BornSampler.sample`` fire only for shots the block
-# sampler hands back to the per-shot route.
+# sampler hands back to the per-shot route.  A record-only run at orders 2
+# and 3 sums its single indices and pairs without index blocks.
 @pytest.mark.parametrize(
     "strategy, spans",
     [
         ("online-recon", set()),
         ("plugin", set()),
-        ("online-norecon", {"kernel.subset_index_chunks", "kernel.batch_code_traces"}),
+        ("online-norecon", {"kernel.batch_code_traces"}),
     ],
 )
 def test_traced_run_reaches_the_wrapped_sites(layers, strategy, spans):
