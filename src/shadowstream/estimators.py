@@ -53,7 +53,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +103,9 @@ __all__ = [
 # qubits one dense factor is fastest.  Measured N = 2..10 in CHANGES.md.
 FACTOR_QUBITS = 6
 
-# Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update, and
-# on the kept scratch that sets the accumulators' tile rows past FACTOR_QUBITS.
+# Bound on the stacked (rows, 2**N, 2**N) temporaries of a block update, on
+# the kept scratch that sets the accumulators' tile rows past FACTOR_QUBITS,
+# and on the factor and diagonal buffers of one chunk of a tiled block update.
 _STACK_BYTES = 1 << 20
 
 # The kind field of an SSES checkpoint (see :func:`save_estimator_state`).
@@ -527,6 +530,24 @@ class OnlineRecordEstimator:
         return cls(order, part, n_qubits, record=record, running_sum=complex(re, im))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_pool(count: int):
+    """A pool of ``count`` threads that its ``with`` block joins on exit, or
+    a stand-in that starts none when ``count`` is 0."""
+    if count < 1:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=count)
+
+
 class AccumulatorSet:
     """Streaming U-statistic via running sums of snapshot products.
 
@@ -543,7 +564,8 @@ class AccumulatorSet:
     shots came before (orders 1 and 2 need no product at all), and every
     order up to ``order`` can be read off the same set; the snapshot
     itself is discarded after use.  Memory is ``16 * (order - 1) * 4**N
-    + 16`` bytes, plus a kept scratch past ``FACTOR_QUBITS``.
+    + 16`` bytes, plus a kept scratch past ``FACTOR_QUBITS`` (1 MB at N =
+    8, order 4) + one scratch per thread beyond the first.
 
     An update reads the shot's transposed codes (:func:`snapshot_codes`),
     so no matrix is ever transposed.  Past ``FACTOR_QUBITS`` qubits
@@ -560,6 +582,13 @@ class AccumulatorSet:
     both into the scratch and then added, ``d**2 * (a + c)`` multiply-adds
     instead of ``d**3``; the top trace is a gemv against ``C.T`` and a dot
     with the tile's columns of ``A``, and ``S_1 += A ⊗ C`` their product.
+    A row of ``S_{k+1} += S_k R`` reads only the same row of ``S_k``, so a
+    tile takes a whole block of shots without reading another tile: every
+    update goes tile-major (:meth:`_absorb_tiles`), the tiles split into
+    contiguous bands over ``W`` threads, ``W`` the tiles or the usable CPUs
+    (at most ``threads``), whichever are fewer.  Each thread makes the
+    per-tile calls of one thread in its own scratch, and the top trace
+    adds its per-tile terms in tile order, so no byte depends on ``W``.
     Up to ``FACTOR_QUBITS`` the same array (``a = 1``, one tile) is the
     plain dense one, multiplied by the dense snapshot.
 
@@ -586,9 +615,13 @@ class AccumulatorSet:
         matrices: np.ndarray | None = None,
         shots: int = 0,
         top_trace: complex = 0j,
+        threads: int | None = None,
     ):
         _check_order(order)
         _check_qubit_count(n_qubits)
+        if threads is not None and threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self._threads = threads
         self._m = order
         self._part = _part_qubits(part, n_qubits)
         self._mask = _transpose_mask(self._part, n_qubits)
@@ -602,7 +635,7 @@ class AccumulatorSet:
         rows = dim
         while rows > right and 16 * stacks * rows * dim > _STACK_BYTES:
             rows //= 2
-        self._scratch = np.empty(stacks * rows * dim, dtype=np.complex128)
+        self._scratches = [np.empty(stacks * rows * dim, dtype=np.complex128)]  # one per thread
         self._tiles = np.zeros((dim // rows, order - 1, left, rows, right), dtype=np.complex128)
         if matrices is not None:
             matrices = np.asarray(matrices, dtype=np.complex128)
@@ -652,51 +685,121 @@ class AccumulatorSet:
     def update(self, snapshot: Snapshot) -> None:
         self.advance(_row_codes(snapshot, self._n, self._mask))
 
+    def advance(self, codes: np.ndarray) -> None:
+        """Absorb the rows of ``(B, N)`` transposed codes, with no traces:
+        tile-major past ``FACTOR_QUBITS``, else by the dense per-shot update."""
+        if self._split:
+            self._absorb_tiles(codes)
+        else:
+            for row in codes.tolist():
+                self._absorb(row)
+        self._shots += len(codes)
+
     def _absorb(self, codes) -> None:
-        """One shot's update from its transposed codes; past ``FACTOR_QUBITS``
-        tile by tile in the factor-major layout (see the class docstring)."""
-        split, m = self._split, self._m
-        right = codes_matrix(codes[split:])
-        self._shots += 1
-        if not split:
-            mats = self._dense()
-            # A row's einsum value is that of the same row in a stacked block.
-            top = np.einsum("tij,tji->t", mats[-1:], right[None])[0] if m > 1 else np.trace(right)
-            self._trace += top
-            for k in range(m - 2, 0, -1):
-                mats[k] += mats[k - 1] @ right
-            if m > 1:
-                mats[0] += right
+        """One shot's dense update from its transposed codes, up to ``FACTOR_QUBITS``."""
+        m, right, mats = self._m, codes_matrix(codes), self._dense()
+        # A row's einsum value is that of the same row in a stacked block.
+        top = np.einsum("tij,tji->t", mats[-1:], right[None])[0] if m > 1 else np.trace(right)
+        self._trace += top
+        for k in range(m - 2, 0, -1):
+            mats[k] += mats[k - 1] @ right
+        if m > 1:
+            mats[0] += right
+
+    def _workers(self) -> int:
+        """The threads that one tiled update runs on (see the class docstring)."""
+        return min(len(self._tiles), self._threads or _usable_cpus())
+
+    def _absorb_tiles(self, codes: np.ndarray, traces: np.ndarray | None = None) -> None:
+        """Absorb the rows of ``(B, N)`` transposed codes past ``FACTOR_QUBITS``
+        tile by tile; with ``traces``, write each order's trace after each row.
+
+        For each chunk of rows, sized so that its factor, partial and
+        diagonal buffers fit a quarter of ``_STACK_BYTES``, the calling thread
+        builds every shot's ``A`` and ``C`` once.  It and ``W - 1`` pool
+        threads then take one contiguous band of tiles each
+        (:meth:`_absorb_band`), and the caller finishes what the per-shot
+        loop of one thread did: each shot's top-trace partials added in tile
+        order from ``0j``, that sum added to the running trace, and each
+        ``tr(S_k)`` the ``.sum`` of its gathered diagonal.  No pool thread
+        outlives the call, and an exception in one reaches the caller.
+        """
+        m, split = self._m, self._split
+        if m == 1:  # no matrices: each shot adds tr(A) tr(C)
+            for i, row in enumerate(codes.tolist()):
+                left, right = codes_matrix(row[:split]), codes_matrix(row[split:])
+                self._trace += np.trace(left) * np.trace(right)
+                if traces is not None:
+                    traces[i, 0] = self._trace
             return
-        left = codes_matrix(codes[:split])
-        if m == 1:
-            self._trace += np.trace(left) * np.trace(right)
-            return
-        (a, rows, c), scratch = self._tiles.shape[2:], self._scratch
-        band, size = rows // c, a * rows * c  # columns of A per tile, entries per stack
+        tiles, (a, rows, c) = len(self._tiles), self._tiles.shape[2:]
+        workers = self._workers()
+        while len(self._scratches) < workers:
+            self._scratches.append(np.empty_like(self._scratches[0]))
+        bands = np.array_split(np.arange(tiles), workers)
+        # A quarter of _STACK_BYTES: with 1 MB chunk buffers a second thread
+        # raised the peak RSS of 8-qubit order-4 campaigns by 1.4 MB, with a
+        # quarter by none (2 vCPUs).
+        row_bytes = 16 * (a * a + c * c + tiles + 1 + (m - 1) * a * c)
+        step = max(1, _STACK_BYTES // 4 // row_bytes)
+        with _thread_pool(workers - 1) as pool:
+            for lo in range(0, len(codes), step):
+                chunk = codes[lo : lo + step]
+                left, right = codes_matrix(chunk[:, :split]), codes_matrix(chunk[:, split:])
+                partials = np.zeros((len(chunk), tiles + 1), dtype=np.complex128)
+                diagonals = None
+                if traces is not None:
+                    diagonals = np.empty((len(chunk), m - 1, a * c), dtype=np.complex128)
+                shared = (left, right, partials, diagonals)
+                jobs = [
+                    pool.submit(self._absorb_band, band, scratch, *shared)
+                    for band, scratch in zip(bands[1:], self._scratches[1:])
+                ]
+                self._absorb_band(bands[0], self._scratches[0], *shared)
+                for job in jobs:
+                    job.result()
+                # Column 0 is the 0j each shot's partials are added to in tile
+                # order; the sums then go to the running trace one by one.
+                increments = np.cumsum(partials, axis=1)[:, -1]
+                increments[0] += self._trace
+                running = np.cumsum(increments)
+                self._trace = complex(running[-1])
+                if traces is not None:
+                    traces[lo : lo + step, -1] = running
+                    traces[lo : lo + step, :-1] = diagonals.sum(axis=2)
+
+    def _absorb_band(self, band, scratch, left, right, partials, diagonals) -> None:
+        """Absorb every shot of a chunk, factors ``left`` and ``right``, into
+        the tiles of ``band`` in ``scratch``, one tile at a time so that it
+        stays in cache.  Writes shot ``s``'s top-trace partial of tile ``t``,
+        ``tr`` of the tile's rows of ``S_{m-1} R``, to ``partials[s, t + 1]``
+        and, with ``diagonals``, the tile's diagonal entries after the shot
+        to ``diagonals[s]``.  A tile reads no other, so its calls and their
+        values are those of the shot-by-shot loop.  It calls no traced
+        function, so a pool thread may run it."""
+        m, (a, rows, c) = self._m, self._tiles.shape[2:]
+        per, size = rows // c, a * rows * c  # columns of A per tile, entries per stack
         products = scratch[: (m - 2) * size].reshape(-1, c)
         mixed = scratch[(m - 2) * size : 2 * (m - 2) * size].reshape(m - 2, a, rows * c)
         # Broadcasting ufuncs allocate buffers; copies into the scratch do not.
-        fresh, spread = (scratch[j * size : (j + 1) * size].reshape(a, band, c, c) for j in (0, 1))
-        closing, increment = right.T.ravel(), 0j
-        for t, tile in enumerate(self._tiles):
-            cols = slice(t * band, (t + 1) * band)
-            increment += (tile[-1].reshape(-1, c * c) @ closing) @ left[:, cols].ravel()
-            if m > 2:
-                np.matmul(tile[:-1].reshape(-1, c), right, out=products)
-                np.matmul(left.T, products.reshape(m - 2, a, rows * c), out=mixed)
-                tile[1:] += mixed.reshape(m - 2, a, rows, c)
-            np.copyto(fresh, right)
-            np.copyto(spread, left.T[:, cols, None, None])
-            fresh *= spread
-            tile[0] += fresh.reshape(a, rows, c)
-        self._trace += increment
-
-    def advance(self, codes: np.ndarray) -> None:
-        """Absorb the rows of ``(B, N)`` transposed codes, each by the
-        factored per-shot update, with no traces."""
-        for row in codes.tolist():
-            self._absorb(row)
+        fresh, spread = (scratch[j * size : (j + 1) * size].reshape(a, per, c, c) for j in (0, 1))
+        flats = right.transpose(0, 2, 1).reshape(len(right), c * c)
+        for t in band.tolist():
+            tile, cols = self._tiles[t], slice(t * per, (t + 1) * per)
+            span = slice(t * rows, (t + 1) * rows)
+            top = tile[-1].reshape(-1, c * c)
+            for s, (factor, closing) in enumerate(zip(left, right)):
+                partials[s, t + 1] = (top @ flats[s]) @ factor[:, cols].ravel()
+                if m > 2:
+                    np.matmul(tile[:-1].reshape(-1, c), closing, out=products)
+                    np.matmul(factor.T, products.reshape(m - 2, a, rows * c), out=mixed)
+                    tile[1:] += mixed.reshape(m - 2, a, rows, c)
+                np.copyto(fresh, closing)
+                np.copyto(spread, factor.T[:, cols, None, None])
+                fresh *= spread
+                tile[0] += fresh.reshape(a, rows, c)
+                if diagonals is not None:
+                    diagonals[s, :, span] = self._tiles.take(self._diagonal[:, span])
 
     def trajectory(self, codes: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
         """Absorb the rows of ``(B, N)`` transposed codes; return the
@@ -710,27 +813,24 @@ class AccumulatorSet:
         below the top, in row chunks whose three live stacks stay within
         ``_STACK_BYTES``.  The top order takes one batched ``einsum`` of
         the ``S_{m-1}`` trajectory against the snapshots, added to the
-        running trace one row at a time.  Beyond ``FACTOR_QUBITS`` each row
-        takes the factored per-shot update and one gather of the diagonals.
-        Either way every value equals the per-shot ``update``/``estimate``
-        pair bit for bit: the top order's increments come from the same
-        routine and are added in the same order, all entries are dyadic,
-        so no matrix sum rounds while the numerators fit in 53 bits, and
-        ``tr / comb(t, k)`` in float64 is the real part of Python's
-        ``complex / int``.
+        running trace one row at a time.  Beyond ``FACTOR_QUBITS`` the block
+        goes tile-major (:meth:`_absorb_tiles`), each shot's diagonals
+        gathered tile by tile.  Either way every value equals the per-shot
+        ``update``/``estimate`` pair bit for bit: the top order's increments
+        come from the same routine and are added in the same order, all
+        entries are dyadic, so no matrix sum rounds while the numerators fit
+        in 53 bits, and ``tr / comb(t, k)`` in float64 is the real part of
+        Python's ``complex / int``.
         """
         rows = len(codes)
         traces = np.empty((rows, self._m), dtype=np.complex128)
         if self._split:
-            for i, row in enumerate(codes):
-                self._absorb(row)
-                traces[i, :-1] = self._tiles.take(self._diagonal).sum(axis=1)
-                traces[i, -1] = self._trace
+            self._absorb_tiles(codes, traces)
         else:
             step = max(1, _STACK_BYTES // (3 * 16 * 4**self._n))
             for lo in range(0, rows, step):
                 self._absorb_stacked(codes[lo : lo + step], traces[lo : lo + step])
-            self._shots += rows
+        self._shots += rows
         defined, combs = _defined_combs(np.arange(self._shots - rows + 1, self._shots + 1), orders)
         values = traces[:, [k - 1 for k in orders]].real / combs
         values[~defined] = np.nan
@@ -898,21 +998,23 @@ class _PacedRecordSums(_RecordSums):
     streaming = False
 
 
-# Strategy name -> factory(orders, part, n_qubits, n_batches); ``orders``
-# is sorted and ``part`` normalised, read only by the accumulators (for
-# their checkpoint and per-shot ``update``).  The only place strategy
-# names live.
+# Strategy name -> factory(orders, part, n_qubits, n_batches, threads);
+# ``orders`` is sorted and ``part`` normalised, read only by the
+# accumulators (for their checkpoint and per-shot ``update``), as is
+# ``threads``.  The only place strategy names live.
 _STRATEGIES = {
-    "ustat": lambda orders, part, n_qubits, n_batches: _PacedRecordSums(
+    "ustat": lambda orders, part, n_qubits, n_batches, threads: _PacedRecordSums(
         n_qubits, {m: 0j for m in orders if m >= 2}
     ),
-    "plugin": lambda orders, part, n_qubits, n_batches: _PluginSum(n_qubits),
-    "batched": lambda orders, part, n_qubits, n_batches: _RetainedRecord(n_qubits, n_batches),
-    "online-norecon": lambda orders, part, n_qubits, n_batches: _RecordSums(
+    "plugin": lambda orders, part, n_qubits, n_batches, threads: _PluginSum(n_qubits),
+    "batched": lambda orders, part, n_qubits, n_batches, threads: _RetainedRecord(
+        n_qubits, n_batches
+    ),
+    "online-norecon": lambda orders, part, n_qubits, n_batches, threads: _RecordSums(
         n_qubits, {m: 0j for m in orders if m >= 2}
     ),
-    "online-recon": lambda orders, part, n_qubits, n_batches: AccumulatorSet(
-        orders[-1], part, n_qubits
+    "online-recon": lambda orders, part, n_qubits, n_batches, threads: AccumulatorSet(
+        orders[-1], part, n_qubits, threads=threads
     ),
 }
 
@@ -943,7 +1045,9 @@ class MomentStream:
     strategies (plug-in and both online ones) refresh their estimates
     after every shot, while ``ustat`` and ``batched`` are meant to be read
     at checkpoints only (``batched`` recomputes from the retained record
-    whenever estimates are requested).
+    whenever estimates are requested).  ``threads`` caps the threads of an
+    :class:`AccumulatorSet` update (default: the usable CPUs); it changes
+    no byte.
     """
 
     def __init__(
@@ -953,6 +1057,7 @@ class MomentStream:
         part,
         n_qubits: int,
         n_batches: int | None = None,
+        threads: int | None = None,
     ):
         orders = tuple(sorted(set(int(m) for m in orders)))
         if not orders or orders[0] < 1:
@@ -964,7 +1069,7 @@ class MomentStream:
         self._n_qubits = n_qubits
         self._part = _part_qubits(part, n_qubits)
         self._mask = _transpose_mask(self._part, n_qubits)
-        self._estimator = _STRATEGIES[strategy](orders, self._part, n_qubits, n_batches)
+        self._estimator = _STRATEGIES[strategy](orders, self._part, n_qubits, n_batches, threads)
 
     @property
     def streaming(self) -> bool:

@@ -43,7 +43,8 @@ Results are written twice: a JSON document carrying the full config,
 traces, per-run summaries and campaign summary, and a gnuplot-friendly
 CSV with ``#`` comment headers and one row per checkpoint.  Both are
 byte-stable: rerunning the same config and seed reproduces them
-exactly, regardless of ``workers``.  One formatting pass over each
+exactly, regardless of ``workers`` and of the threads each accumulator
+update runs on.  One formatting pass over each
 trace column serves both files (:func:`_column_text`, :func:`_csv_cells`).
 """
 
@@ -64,7 +65,7 @@ import numpy as np
 from ._version import __version__
 from .certify import EspVector, certification_verdict, newton_girard
 from .errors import InvalidStateError
-from .estimators import MomentStream, check_strategy
+from .estimators import MomentStream, _usable_cpus, check_strategy
 from .sampler import (  # shot_rng: unused here, but perfbench/layers.py wraps runner.shot_rng
     BLOCK_SHOTS,
     BornSampler,
@@ -464,12 +465,18 @@ def _paced_reads(stream: MomentStream, axes, bits, shots, reads, observe):
     )
 
 
-def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
-    rho = _build_state(config)
+def _run_single(config: ExperimentConfig, run: int, threads: int | None = None) -> list[dict]:
+    """One run's traces; ``threads`` caps each accumulator update's threads.
+
+    The sampler is built, and the state checked, before any stream holds
+    its accumulators, and the state itself is dropped once the sampler
+    has read it.
+    """
+    sampler = BornSampler(_build_state(config))
     part = _transposed_qubits(config)
-    n = rho.n_qubits
+    n = sampler.n_qubits
     streams = {
-        name: MomentStream(name, config.orders, part, n, n_batches=config.n_batches)
+        name: MomentStream(name, config.orders, part, n, config.n_batches, threads)
         for name in config.strategies
     }
     monitors = {
@@ -490,7 +497,6 @@ def _run_single(config: ExperimentConfig, run: int) -> list[dict]:
         for name in config.strategies
     }
     primary = config.strategies[0]
-    sampler = BornSampler(rho)
     stop_shot: int | None = None
 
     for start, end, axes, bits in _shot_blocks(sampler, seed, config.shots):
@@ -623,13 +629,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Runs are independent (each has a derived seed) and may execute in
     parallel; traces are always assembled in run order, so the output
-    does not depend on ``workers``.
+    does not depend on ``workers``.  Parallel runs share the usable CPUs:
+    each accumulator update takes at most ``usable // workers`` threads
+    (at least one), which changes no byte either.
     """
     config = config.validated()
     if config.workers > 1 and config.runs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        worker = functools.partial(_run_single, config)
+        threads = max(1, _usable_cpus() // config.workers)
+        worker = functools.partial(_run_single, config, threads=threads)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_run = list(pool.map(worker, range(config.runs)))
     else:
@@ -979,6 +988,25 @@ def _check_complement_transpose() -> tuple[bool, str]:
     return True, "5 strategies bit-equal under the complement"
 
 
+def _check_accumulator_threads() -> tuple[bool, str]:
+    from .estimators import AccumulatorSet, _pack_state
+    from .kernel import snapshot_codes
+
+    # Eight qubits at order 4 keep four row tiles: one thread against as
+    # many as the usable CPUs allow, on the same block of shots.
+    record = stream_shadows(werner_state(8, 0.6), 32, 29)
+    part = Bipartition.balanced(8).transposed
+    codes = snapshot_codes(record.axes, record.bits, part)
+    states = []
+    for threads in (1, None):
+        acc = AccumulatorSet(4, part, 8, threads=threads)
+        values, _ = acc.trajectory(codes, (2, 3, 4))
+        states.append(values.tobytes() + _pack_state(acc))
+    ok = states[0] == states[1]
+    verdict = "trajectory and SSES bytes equal" if ok else "bytes differ"
+    return ok, f"W = 1 against W = {acc._workers()}, 32 shots at N = 8, order 4: {verdict}"
+
+
 _BATTERY = [
     ("werner-oracle-closure", _check_oracle_closure),
     ("partial-transpose-bit-flip", _check_bitflip),
@@ -986,6 +1014,7 @@ _BATTERY = [
     ("online-equals-offline", _check_online_equals_offline),
     ("complement-transpose", _check_complement_transpose),
     ("replay-determinism", _check_replay_determinism),
+    ("accumulator-threads", _check_accumulator_threads),
     ("born-sampler-agreement", _check_born_sampler),
 ]
 

@@ -1,10 +1,13 @@
 """Estimator correctness, streaming identities, and checkpointing."""
 
+import concurrent.futures
 import functools
 import hashlib
 import itertools
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -795,7 +798,7 @@ class TestTiledLayout:
     def test_tiles_at_eight_qubits(self):
         acc = AccumulatorSet(4, Bipartition.balanced(8), 8)
         assert acc._tiles.shape == (4, 3, 16, 64, 16)
-        assert acc._scratch.nbytes <= shadowstream.estimators._STACK_BYTES
+        assert acc._scratches[0].nbytes <= shadowstream.estimators._STACK_BYTES
         mats = acc.matrices
         assert mats.shape == (3, 256, 256) and not mats.flags.writeable
         with pytest.raises(ValueError):
@@ -846,6 +849,120 @@ class TestTiledLayout:
         tracemalloc.stop()
         assert peak - base < 64 * 1024
         assert max(sizes) == 16
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The worker count of every thread pool that an update makes."""
+    made = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return made
+
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(shadowstream.estimators, "_usable_cpus", lambda: cpus)
+
+
+class TestThreadedTiles:
+    """Past FACTOR_QUBITS a block goes tile-major, each band of tiles on its
+    own thread; no byte depends on how many threads there are."""
+
+    @pytest.mark.parametrize("n, order, shots", [(8, 3, 70), (8, 4, 70), (8, 5, 50), (9, 4, 6)])
+    def test_thread_count_changes_no_byte(
+        self, monkeypatch, thread_pools, tmp_path, n, order, shots
+    ):
+        # 70 and 50 shots cross a chunk boundary at N = 8.
+        record = stream_shadows(werner_plus_mixed(n, 0.6), shots, seed=120 + n + order)
+        part = tuple(range(n // 2, n))
+        codes = snapshot_codes(record.axes, record.bits, part)
+        orders = range(2, order + 1)
+        runs = []
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            acc = AccumulatorSet(order, part, n)
+            values, defined = acc.trajectory(codes, orders)
+            save_estimator_state(acc, tmp_path / f"{cpus}.ckpt")
+            runs.append((acc, values, defined, (tmp_path / f"{cpus}.ckpt").read_bytes()))
+        tiles = len(runs[0][0]._tiles)
+        assert thread_pools == [min(tiles, cpus) - 1 for cpus in (2, 3)]
+        by_shot = AccumulatorSet(order, part, n)
+        _, values, defined, _ = runs[0]
+        for t, snap in enumerate(record):
+            by_shot.update(snap)
+            want = np.array([by_shot.estimate(m).value for m in orders])
+            assert want.tobytes() == np.where(defined[t], values[t], np.nan).tobytes()
+        save_estimator_state(by_shot, tmp_path / "by_shot.ckpt")
+        for acc, values, defined, state in runs:
+            assert values.tobytes() == runs[0][1].tobytes()
+            assert defined.tobytes() == runs[0][2].tobytes()
+            assert acc.top_trace == by_shot.top_trace
+            assert acc.matrices.tobytes() == by_shot.matrices.tobytes()
+            assert state == (tmp_path / "by_shot.ckpt").read_bytes()
+
+    def test_more_threads_than_cores_switching_fast(self, monkeypatch, thread_pools):
+        # Eight tiles on eight threads, whatever the machine has, handing the
+        # interpreter lock over as often as it can: a lost or misplaced
+        # write to a tile, a partial or a diagonal would move bytes.
+        record = stream_shadows(werner_state(8, 0.6), 24, seed=86)
+        part = Bipartition.balanced(8).transposed
+        codes = snapshot_codes(record.axes, record.bits, part)
+        states = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 8):
+                force_cpus(monkeypatch, cpus)
+                acc = AccumulatorSet(5, part, 8)
+                values, _ = acc.trajectory(codes, (2, 3, 4, 5))
+                states.append(values.tobytes() + _pack_state(acc))
+        finally:
+            sys.setswitchinterval(interval)
+        assert thread_pools == [7]
+        assert states[0] == states[1]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        band = AccumulatorSet._absorb_band
+
+        def failing(self, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("raised in a worker")
+            band(self, *args)
+
+        monkeypatch.setattr(AccumulatorSet, "_absorb_band", failing)
+        record = stream_shadows(werner_state(8, 0.6), 4, seed=83)
+        part = Bipartition.balanced(8).transposed
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="raised in a worker"):
+            AccumulatorSet(4, part, 8).trajectory(
+                snapshot_codes(record.axes, record.bits, part), (2, 3, 4)
+            )
+        assert threading.active_count() == before
+
+    def test_one_tile_makes_no_thread_pool(self, monkeypatch, thread_pools):
+        force_cpus(monkeypatch, 4)
+        record = stream_shadows(werner_plus_mixed(7, 0.6), 5, seed=84)
+        acc = AccumulatorSet(4, (3, 4, 5, 6), 7)
+        acc.trajectory(snapshot_codes(record.axes, record.bits, (3, 4, 5, 6)), (2, 3, 4))
+        acc.update(record[0])
+        assert len(acc._tiles) == 1 and acc._workers() == 1
+        assert thread_pools == []
+        assert len(acc._scratches) == 1
+
+    def test_a_thread_cap_bounds_the_pool(self, monkeypatch, thread_pools):
+        force_cpus(monkeypatch, 4)
+        acc = AccumulatorSet(5, Bipartition.balanced(8), 8, threads=2)
+        acc.update(stream_shadows(werner_state(8, 0.6), 1, seed=85)[0])
+        assert len(acc._tiles) == 8 and thread_pools == [1]
+        assert len(acc._scratches) == 2
+        with pytest.raises(ValueError, match="threads"):
+            AccumulatorSet(4, Bipartition.balanced(8), 8, threads=0)
 
 
 class TestComplementIdentity:

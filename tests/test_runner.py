@@ -1,11 +1,16 @@
 """Experiment orchestration, exports, and the command line."""
 
+import concurrent.futures
 import json
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import shadowstream.estimators as estimators
+import shadowstream.runner as runner
 from shadowstream import (
     DensityMatrix,
     ExperimentConfig,
@@ -314,6 +319,28 @@ class TestRunExperiment:
         run_experiment(small_config(runs=3, shots=10))
         assert len(calls) == 3
 
+    def test_state_is_checked_and_dropped_before_the_streams(self, monkeypatch):
+        events, states = [], []
+        build, check = runner._build_state, DensityMatrix.assert_physical
+
+        def building(config):
+            rho = build(config)
+            states.append(weakref.ref(rho))
+            return rho
+
+        def streaming(*args, **kwargs):
+            events.append("stream beside the state" if states[-1]() else "stream")
+            return stream(*args, **kwargs)
+
+        stream = runner.MomentStream
+        monkeypatch.setattr(runner, "_build_state", building)
+        monkeypatch.setattr(runner, "MomentStream", streaming)
+        monkeypatch.setattr(
+            DensityMatrix, "assert_physical", lambda rho: events.append("check") or check(rho)
+        )
+        run_experiment(small_config(runs=1, shots=10))
+        assert events == ["check", "stream"]
+
     def test_file_state_qubit_mismatch(self, tmp_path):
         rho = DensityMatrix(np.eye(2) / 2)
         path = tmp_path / "one_qubit.json"
@@ -321,6 +348,73 @@ class TestRunExperiment:
         config = small_config(state_kind="file", state_path=str(path), runs=1)
         with pytest.raises(InvalidStateError):
             run_experiment(config)
+
+
+def dense_config(**overrides) -> ExperimentConfig:
+    """A short 8-qubit accumulator campaign: four row tiles at order 4."""
+    base = dict(n_qubits=8, t=0.6, orders=(2, 3, 4), shots=12, stride_dense=1)
+    return small_config(**{**base, **overrides})
+
+
+class InlinePool:
+    """A process pool stand-in that runs each call in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+class TestAccumulatorThreads:
+    """Past six qubits each accumulator update spreads its row tiles over
+    threads that never outlive the call and never change a byte."""
+
+    @pytest.fixture
+    def thread_pools(self, monkeypatch):
+        made = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            made.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        for module in (estimators, runner):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+        return made
+
+    def test_no_thread_outlives_a_run(self, thread_pools):
+        before = threading.active_count()
+        run_experiment(dense_config(runs=1))
+        assert thread_pools and set(thread_pools) == {1}
+        assert threading.active_count() == before
+
+    def test_process_workers_share_the_cpus(self, monkeypatch, thread_pools, tmp_path):
+        serial = run_experiment(dense_config(workers=1))
+        assert thread_pools, "a serial run on 2 CPUs should use 2 threads"
+        thread_pools.clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        InlinePool.made.clear()
+        capped = run_experiment(dense_config(workers=2))
+        assert InlinePool.made == [2] and thread_pools == []
+        monkeypatch.undo()
+        pooled = run_experiment(dense_config(workers=2))
+        for name, result in (("serial", serial), ("capped", capped), ("pooled", pooled)):
+            export_json(result, tmp_path / f"{name}.json")
+            export_csv(result, tmp_path / f"{name}.csv")
+        for suffix in ("json", "csv"):
+            want = (tmp_path / f"serial.{suffix}").read_bytes()
+            assert (tmp_path / f"capped.{suffix}").read_bytes() == want
+            assert (tmp_path / f"pooled.{suffix}").read_bytes() == want
 
 
 class TestExports:
@@ -491,8 +585,9 @@ class TestCli:
     def test_verification_battery(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 7
+        assert out.count("[PASS]") == 8
         assert "[PASS] born-sampler-agreement: 27 bases" in out
+        assert "[PASS] accumulator-threads: W = 1 against W = " in out
         assert "[FAIL]" not in out
 
     def test_readme_demo_stop_shot(self, tmp_path, capsys):
