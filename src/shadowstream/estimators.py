@@ -15,11 +15,11 @@ memory / cost / bias plane:
     U-statistic over per-batch average snapshots: unbiased like the
     full U-statistic, cost like the plug-in, variance strictly worse.
 ``OnlineRecordEstimator``
-    Streaming U-statistic.  Keeps only the classical record (two bytes
-    per qubit-shot) and a running sum; each new shot contributes the
-    kernel over all (m-1)-subsets of the past closed with the new
-    index, the new shot folded into the chain tables once.  After every
-    shot it equals the offline U-statistic.
+    Streaming U-statistic.  Keeps only the classical record (one byte
+    of transposed code per qubit-shot) and a running sum; each new shot
+    contributes the kernel over all (m-1)-subsets of the past closed with
+    the new index, the new shot folded into the chain tables once.
+    After every shot it equals the offline U-statistic.
 ``AccumulatorSet``
     Streaming U-statistic in dense form: m - 1 running 2**N x 2**N
     matrices whose k-th member is the sum over ordered (k+1)-subsets of
@@ -28,25 +28,25 @@ memory / cost / bias plane:
     at every T, multiplying by the snapshot's Kronecker factors, and give
     the same value as the offline U-statistic at every order up to m.
 
-:class:`MomentStream` puts one strategy behind one interface.  It
-checks each ``(B, N)`` block of shots and encodes it once with
-:func:`snapshot_codes`, whose bit flips are the partial transpose, so no
-strategy transposes a matrix or carries the transposed qubits.  A
-strategy is an object built by the factory that ``_STRATEGIES`` maps its
-name to, with four members: a ``streaming`` flag, ``advance(codes)``,
-which absorbs a block of transposed codes, ``trajectory(codes,
-orders)``, which absorbs one and returns the estimates of ``orders``
-after each row as arrays, and ``estimate(order)``.  ``online-recon`` is
-an :class:`AccumulatorSet` (stacked products per block);
-``online-norecon`` a ``_RecordSums`` (the codes written once per block,
-one running sum per order; the engine of :class:`OnlineRecordEstimator`);
-``ustat`` a ``_PacedRecordSums`` (``_RecordSums`` read only at
-checkpoints); ``plugin`` a ``_PluginSum`` (the engine of
-:func:`plugin_estimate`); and ``batched`` a ``_RetainedRecord`` that
-evaluates :func:`batched_estimate` from batch means built once per read.
-The last two read their trajectory row by row.  A :class:`Snapshot` is a
-boundary type only: the per-shot ``update`` methods check its qubit
-count and advance by its codes as a one-row block.
+:class:`MomentStream` puts one strategy behind one interface.  It keeps
+its shots once, in a ``_CodeRecord`` (one growable ``(T, N)`` uint8 array
+of transposed codes, shared by the streams of a run), into which each
+``(B, N)`` block is checked and encoded once with :func:`snapshot_codes`,
+whose bit flips are the partial transpose: no strategy transposes a
+matrix or carries the transposed qubits.  ``_STRATEGIES`` maps each name
+to a ``streaming`` flag and the factory of an object that reads views of
+the record below its own shot count through three members:
+``advance(codes)`` absorbs a block, ``trajectory(codes, orders)`` absorbs
+one and returns the estimates of ``orders`` after each row as arrays, and
+``estimate(order)``.  ``online-recon`` is an :class:`AccumulatorSet`
+(stacked products per block); ``online-norecon`` and ``ustat`` (read at
+checkpoints only) a ``_RecordSums`` (group codes and one running sum per
+order; the engine of :class:`OnlineRecordEstimator`); ``plugin`` a
+``_PluginSum`` (the engine of :func:`plugin_estimate`); and ``batched`` a
+``_RetainedRecord`` that evaluates :func:`batched_estimate` over the
+record.  The last two read their trajectory row by row.  A
+:class:`Snapshot` is a boundary type only: the per-shot ``update``
+methods check its qubit count and advance by its codes as a one-row block.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .sampler import (
     ShadowRecord,
     Snapshot,
     _coerce_block,
+    _grown,
     codes_matrix,
     snapshot_matrix,  # unused here, but perfbench/layers.py wraps estimators.snapshot_matrix
 )
@@ -312,11 +313,12 @@ class _RecordSums:
     """Streaming U-statistics of several orders over one retained record.
 
     ``sums`` maps each order m to the running sum of the kernel over all
-    m-subsets of the record; a new shot adds the subsets it closes.  The
-    record is kept only as transposed codes: ``codes`` (a restored
-    record's, whose subsets ``sums`` already hold) and each ``(B, N)``
-    block that ``advance`` and ``trajectory`` take go in with one write,
-    each shot's :func:`group_codes` beside its codes (``intp``, by column).
+    m-subsets of the shots of ``record``, a ``_CodeRecord``; a new shot
+    adds the subsets it closes.  The shots the record holds at
+    construction are a restored record's, whose subsets ``sums`` already
+    hold; each ``(B, N)`` block of the record's rows that ``advance`` and
+    ``trajectory`` take adds its :func:`group_codes` (``intp``, by column)
+    in one write.  Only the rows below the engine's own shot count are read.
 
     The new shot is the last member of every subset it closes, so an
     order-m update slices its closing tables out of the :func:`group_tables`
@@ -343,27 +345,31 @@ class _RecordSums:
     and sums of a fresh sum fit in 53 bits (``C(t, 2) * 56**N <= 2**53``
     for the pairs of ``t`` earlier shots: t up to 42 799 at N = 4, 764 at
     N = 6, 14 at N = 8) the sums equal the closed-tuple evaluation bit
-    for bit; past that they stay within the rounding bound of the
-    :mod:`~shadowstream.kernel` docstring.
+    for bit.  They equal :func:`ustat_offline` bit for bit while every
+    partial product and sum is exact: an order-m kernel value is a
+    Gaussian integer times ``2**(-m*N)`` of modulus at most
+    ``2**((m+1)*N)``, so a sum of ``C(T, m)`` of them is exact in any
+    order while ``C(T, m) * 2**((2*m+1)*N) <= 2**53`` (at N = 4: T up to
+    131 072 at m = 2, 587 at m = 3), and random signs keep real sums
+    exact much longer.  Past either point they stay within the rounding
+    bound of the :mod:`~shadowstream.kernel` docstring.
     """
 
-    streaming = True
-
-    def __init__(self, n_qubits: int, sums: dict[int, complex], codes: np.ndarray | None = None):
+    def __init__(self, record: _CodeRecord, sums: dict[int, complex]):
+        n_qubits = record.n_qubits
         if n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {n_qubits}")
         self.sums = sums
+        self._record = record
         self._widths = {m: group_width(m, n_qubits) for m in sums if m <= CHAIN_TABLE_MAX}
         self._tables = {m: group_tables(m, n_qubits, g) for m, g in self._widths.items()}
-        self._codes = np.empty((0, n_qubits), dtype=np.uint8)
         self._columns = {  # column-major, so that each group's codes are contiguous
             g: np.empty((16, -(-n_qubits // g)), dtype=np.intp, order="F")
             for g in set(self._widths.values())
         }
         self._shots = 0
         self._scratch = Scratch()
-        if codes is not None:
-            self._store(codes)
+        self._store(record[:])
 
     def advance(self, codes: np.ndarray) -> None:
         """Absorb the rows of ``(B, N)`` transposed codes."""
@@ -383,15 +389,12 @@ class _RecordSums:
         return values, defined
 
     def _store(self, codes: np.ndarray) -> int:
-        """Append ``(B, N)`` transposed codes and their group codes; return
-        the index of the first new shot."""
+        """Append the group codes of ``(B, N)`` transposed codes; return the
+        index of the first new shot."""
         done, total = self._shots, self._shots + len(codes)
-        if total > self._codes.shape[0]:
-            self._codes = _grown(self._codes, done, total)
-            for g, columns in self._columns.items():
-                self._columns[g] = _grown(columns, done, total)
-        self._codes[done:total] = codes
         for g, columns in self._columns.items():
+            if total > len(columns):
+                columns = self._columns[g] = _grown(columns, done, total)
             columns[done:total] = group_codes(codes, g)
         self._shots = total
         return done
@@ -416,8 +419,8 @@ class _RecordSums:
         ``tables`` are its :func:`closing_tables` (``None`` past
         ``CHAIN_TABLE_MAX``, where its 2x2 factors close the chains)."""
         if m > CHAIN_TABLE_MAX:
-            closing = factors_from_codes(self._codes[latest])
-            return _kernel_sum(self._codes[:latest], m - 1, closing=closing)
+            codes = self._record[: latest + 1]
+            return _kernel_sum(codes[:latest], m - 1, closing=factors_from_codes(codes[latest]))
         codes = self._columns[self._widths[m]][:latest]
         return _kernel_sum(codes, m - 1, tables, scratch=self._scratch)
 
@@ -435,31 +438,60 @@ def _row_codes(snapshot: Snapshot, n_qubits: int, mask: np.ndarray) -> np.ndarra
     return _masked_codes(snapshot.axes[None], snapshot.bits[None], mask)
 
 
-def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
-    """A copy of the first ``done`` rows, memory order kept, with room for at least ``total``."""
-    grown = np.empty_like(rows, shape=(max(16, 2 * total),) + rows.shape[1:])
-    grown[:done] = rows[:done]
-    return grown
+class _CodeRecord:
+    """A stream's shots, kept once as a growable ``(T, N)`` uint8 array of
+    transposed codes (N bytes a shot) that every strategy reads views of.
+    The streams of a run share one: each hands it the blocks from its own
+    shot count on, of which it encodes only the rows it lacks, so it may
+    run ahead of a stream that reads only the rows below its own count."""
+
+    def __init__(self, part, n_qubits: int):
+        self.part = _part_qubits(part, n_qubits)
+        self.mask = _transpose_mask(self.part, n_qubits)
+        self.n_qubits = n_qubits
+        self.shots = 0
+        self._rows = np.empty((16, n_qubits), dtype=np.uint8)
+
+    def __getitem__(self, index) -> np.ndarray:
+        """Rows of the held codes: ``record[:t]`` is the first ``t`` shots'."""
+        return self._rows[: self.shots][index]
+
+    def put(self, codes: np.ndarray, start: int) -> np.ndarray:
+        """The rows of shots ``start`` on for their ``(B, N)`` codes, which
+        are appended where not held yet; a gap raises ``ValueError``."""
+        done, stop = self.shots, start + len(codes)
+        if start > done:
+            raise ValueError(f"shots from {start} on leave a gap after the record's {done}")
+        if stop > done:
+            if stop > len(self._rows):
+                self._rows = _grown(self._rows, done, stop)
+            self._rows[done:stop] = codes[done - start :]
+            self.shots = stop
+        return self._rows[start:stop]
+
+    def encode(self, axes, bits, start: int) -> np.ndarray:
+        """:meth:`put` for a block of axes and bits: only the rows not held
+        yet are checked, by the rule of :class:`Snapshot`, and encoded."""
+        held = min(self.shots - start, len(axes)) if self.shots > start else 0
+        if held:  # rows that a stream ahead of this one has checked and encoded
+            axes, bits = axes[held:], bits[held:]
+        axes, bits = _coerce_block(axes, bits, self.n_qubits)
+        if len(axes):
+            self.put(snapshot_codes(axes, bits, self.part), start + held)
+        return self._rows[start : start + held + len(axes)]
 
 
 class OnlineRecordEstimator:
     """Streaming U-statistic that retains only the classical record.
 
-    Memory is O(T * N) bytes and the per-shot update enumerates the
-    C(T, m-1) fresh tuples ending at the new shot, so updates get
-    quadratically slower (for m = 3) as the record grows, but no
-    2**N-dimensional object is ever formed.  At m = 3 the fresh tuples
-    are pairs of the past, summed at every N by BLAS dots over closing
-    columns (slices of tables built once per process, +746 KB, twice that
-    for odd N) gathered at the first shots' codes: bit-equal to the
-    offline U-statistic while no partial sum rounds (see ``_RecordSums``),
-    within the rounding bound of the :mod:`~shadowstream.kernel`
-    docstring past that.  Work per pair, state still O(T * N).
-
-    The estimator keeps its :class:`ShadowRecord` for ``record`` and for
-    checkpoints; its ``_RecordSums`` engine reads transposed codes, a
-    resumed record's encoded once here and each ``update``'s shot as it
-    arrives.
+    The per-shot update enumerates the C(T, m-1) fresh tuples ending at
+    the new shot, so updates get quadratically slower (for m = 3) as the
+    record grows, but no 2**N-dimensional object is ever formed; its
+    ``_RecordSums`` engine sums them (pairs by BLAS dots) and says how
+    exactly.  Memory is O(T * N): the shots are kept once, as the codes of
+    the engine's ``_CodeRecord`` (about 5 bytes a qubit-shot with the group
+    codes), beside the seed and descriptor of a resumed record, from which
+    ``record`` rebuilds the :class:`ShadowRecord`.
     """
 
     _state_kind = _KIND_RECORD
@@ -479,11 +511,11 @@ class OnlineRecordEstimator:
             raise ValueError("resume record has the wrong qubit count")
         self._m = order
         self._n = n_qubits
-        self._part = _part_qubits(part, n_qubits)
-        self._mask = _transpose_mask(self._part, n_qubits)
-        self._record = record
-        codes = snapshot_codes(record.axes, record.bits, self._part) if len(record) else None
-        self._sums = _RecordSums(n_qubits, {order: complex(running_sum)}, codes)
+        self._seed, self._descriptor = record.seed, record.descriptor
+        self._record = _CodeRecord(part, n_qubits)
+        if len(record):  # a resumed record's codes, encoded once
+            self._record.put(snapshot_codes(record.axes, record.bits, self._record.part), 0)
+        self._sums = _RecordSums(self._record, {order: complex(running_sum)})
 
     @property
     def order(self) -> int:
@@ -491,24 +523,29 @@ class OnlineRecordEstimator:
 
     @property
     def transposed_qubits(self) -> tuple[int, ...]:
-        return self._part
+        return self._record.part
 
     @property
     def shots(self) -> int:
-        return len(self._record)
+        return self._record.shots
 
     @property
     def record(self) -> ShadowRecord:
-        return self._record
+        """The record fed or resumed, rebuilt from the codes: ``axes = codes
+        >> 1`` and ``bits = (codes & 1) ^ (axes & mask)`` invert
+        :func:`snapshot_codes` exactly, since its XOR touches only the low bit."""
+        codes = self._record[:]
+        axes = codes >> 1
+        bits = (codes & 1) ^ (axes & self._record.mask)
+        return ShadowRecord.from_arrays(axes, bits, self._seed, self._descriptor)
 
     @property
     def running_sum(self) -> complex:
         return self._sums.sums[self._m]
 
     def update(self, snapshot: Snapshot) -> None:
-        codes = _row_codes(snapshot, self._n, self._mask)
-        self._record.append(snapshot)
-        self._sums.advance(codes)
+        codes = _row_codes(snapshot, self._n, self._record.mask)
+        self._sums.advance(self._record.put(codes, self._record.shots))
 
     def estimate(self) -> MomentEstimate:
         return self._sums.estimate(self._m)
@@ -604,7 +641,6 @@ class AccumulatorSet:
     order 5, N = 7 and 8, within 7e-16 relative of the dense products').
     """
 
-    streaming = True
     _state_kind = _KIND_ACCUMULATOR
 
     def __init__(
@@ -928,8 +964,6 @@ class _PluginSum(_RowwiseTrajectory):
     m-th power of their mean, which is built once per shot count and
     shared by every order."""
 
-    streaming = True
-
     def __init__(self, n_qubits: int):
         _check_qubit_count(n_qubits)
         self._sum = np.zeros((2**n_qubits,) * 2, dtype=np.complex128)
@@ -952,23 +986,19 @@ class _PluginSum(_RowwiseTrajectory):
 
 
 class _RetainedRecord(_RowwiseTrajectory):
-    """The ``batched`` strategy: keeps every shot's transposed codes (the
-    blocks that ``advance`` takes, joined at the next read) and evaluates
-    :func:`batched_estimate` over them on request, from batch means built
-    once per shot count and shared by every order; orders it cannot form
-    yet are undefined."""
+    """The ``batched`` strategy: evaluates :func:`batched_estimate` on
+    request over the first shots of ``record``, as many as it has absorbed,
+    from batch means built once per shot count and shared by every order;
+    orders it cannot form yet are undefined."""
 
-    streaming = False
-
-    def __init__(self, n_qubits: int, n_batches: int):
-        _check_qubit_count(n_qubits)
+    def __init__(self, record: _CodeRecord, n_batches: int):
+        _check_qubit_count(record.n_qubits)
+        self._record = record
         self._n_batches = n_batches
-        self._blocks = []
         self._shots = 0
         self._batches = None
 
     def advance(self, codes: np.ndarray) -> None:
-        self._blocks.append(codes)
         self._shots += len(codes)
         self._batches = None
 
@@ -977,45 +1007,24 @@ class _RetainedRecord(_RowwiseTrajectory):
         if order > self._n_batches or shots < self._n_batches:
             return _undefined(order, shots)
         if self._batches is None:
-            self._blocks = [np.concatenate(self._blocks)]
-            self._batches = _batch_means(self._blocks[0], self._n_batches)
+            self._batches = _batch_means(self._record[: self._shots], self._n_batches)
         return _batched_moment(self._batches, order, shots)
 
 
-class _PacedRecordSums(_RecordSums):
-    """The ``ustat`` strategy: ``_RecordSums`` read only at checkpoints.
-
-    Its running sums equal :func:`ustat_offline` bit for bit while every
-    partial product and sum is exact.  An order-m kernel value is a
-    Gaussian integer times ``2**(-m*N)`` of modulus at most
-    ``2**((m+1)*N)``, so a sum of ``C(T, m)`` of them is exact in any
-    order while ``C(T, m) * 2**((2*m+1)*N) <= 2**53`` (at N = 4: T up to
-    131 072 at m = 2, 587 at m = 3), and random signs keep real sums
-    exact much longer.  Past that the two agree within the rounding
-    bound of the :mod:`~shadowstream.kernel` docstring.
-    """
-
-    streaming = False
+def _record_sums(orders, record, *_) -> _RecordSums:
+    return _RecordSums(record, {m: 0j for m in orders if m >= 2})
 
 
-# Strategy name -> factory(orders, part, n_qubits, n_batches, threads);
-# ``orders`` is sorted and ``part`` normalised, read only by the
-# accumulators (for their checkpoint and per-shot ``update``), as is
-# ``threads``.  The only place strategy names live.
+# Strategy name -> (factory(orders, record, n_batches, threads), streaming),
+# the only place strategy names live.  ``orders`` is sorted and ``record`` the
+# stream's ``_CodeRecord``; ``streaming`` strategies are cheap to read per shot.
 _STRATEGIES = {
-    "ustat": lambda orders, part, n_qubits, n_batches, threads: _PacedRecordSums(
-        n_qubits, {m: 0j for m in orders if m >= 2}
-    ),
-    "plugin": lambda orders, part, n_qubits, n_batches, threads: _PluginSum(n_qubits),
-    "batched": lambda orders, part, n_qubits, n_batches, threads: _RetainedRecord(
-        n_qubits, n_batches
-    ),
-    "online-norecon": lambda orders, part, n_qubits, n_batches, threads: _RecordSums(
-        n_qubits, {m: 0j for m in orders if m >= 2}
-    ),
-    "online-recon": lambda orders, part, n_qubits, n_batches, threads: AccumulatorSet(
-        orders[-1], part, n_qubits, threads=threads
-    ),
+    "ustat": (_record_sums, False),
+    "plugin": (lambda orders, record, *_: _PluginSum(record.n_qubits), True),
+    "batched": (lambda orders, record, n_batches, _: _RetainedRecord(record, n_batches), False),
+    "online-norecon": (_record_sums, True),
+    "online-recon": (lambda orders, record, _, threads: AccumulatorSet(
+        orders[-1], record.part, record.n_qubits, threads=threads), True),
 }
 
 
@@ -1047,7 +1056,8 @@ class MomentStream:
     at checkpoints only (``batched`` recomputes from the retained record
     whenever estimates are requested).  ``threads`` caps the threads of an
     :class:`AccumulatorSet` update (default: the usable CPUs); it changes
-    no byte.
+    no byte.  ``record``, a ``_CodeRecord`` over the same part and qubits
+    that holds no shot yet, is one that the streams of a run share.
     """
 
     def __init__(
@@ -1058,6 +1068,7 @@ class MomentStream:
         n_qubits: int,
         n_batches: int | None = None,
         threads: int | None = None,
+        record: _CodeRecord | None = None,
     ):
         orders = tuple(sorted(set(int(m) for m in orders)))
         if not orders or orders[0] < 1:
@@ -1066,15 +1077,13 @@ class MomentStream:
         self.strategy = strategy
         self.orders = orders
         self._shots = 0
-        self._n_qubits = n_qubits
-        self._part = _part_qubits(part, n_qubits)
-        self._mask = _transpose_mask(self._part, n_qubits)
-        self._estimator = _STRATEGIES[strategy](orders, self._part, n_qubits, n_batches, threads)
+        self._record = record = _CodeRecord(part, n_qubits) if record is None else record
+        self._estimator = _STRATEGIES[strategy][0](orders, record, n_batches, threads)
 
     @property
     def streaming(self) -> bool:
         """Whether estimates are cheap to refresh after every shot."""
-        return self._estimator.streaming
+        return _STRATEGIES[self.strategy][1]
 
     @property
     def shots(self) -> int:
@@ -1082,13 +1091,15 @@ class MomentStream:
 
     def update(self, snapshot: Snapshot) -> None:
         """:meth:`advance` by one shot of the stream's qubit count."""
-        self._estimator.advance(_row_codes(snapshot, self._n_qubits, self._mask))
+        record = self._record
+        codes = _row_codes(snapshot, record.n_qubits, record.mask)
+        self._estimator.advance(record.put(codes, self._shots))
         self._shots += 1
 
     def advance(self, axes: np.ndarray, bits: np.ndarray) -> None:
         """:meth:`update` by each row of ``(B, N)`` axes and bits, checked
         and encoded once (see :meth:`trajectory`)."""
-        codes = self._encode(axes, bits)
+        codes = self._record.encode(axes, bits, self._shots)
         self._estimator.advance(codes)
         self._shots += len(codes)
 
@@ -1099,9 +1110,10 @@ class MomentStream:
 
         The block is checked once, by the rule of :class:`Snapshot`: matching
         2-D shapes with the stream's qubit count, axes below 3 and bits
-        below 2, else ``ValueError``.
+        below 2, else ``ValueError``.  It is encoded once into the stream's
+        record, where a shared record holds rows already.
         """
-        codes = self._encode(axes, bits)
+        codes = self._record.encode(axes, bits, self._shots)
         values, defined = self._estimator.trajectory(codes, [m for m in self.orders if m > 1])
         self._shots += len(codes)
         if self.orders[0] == 1:  # pinned to 1 from the first shot on
@@ -1109,22 +1121,10 @@ class MomentStream:
             defined = np.hstack([np.ones((len(codes), 1), dtype=bool), defined])
         return values, defined
 
-    def _encode(self, axes, bits) -> np.ndarray:
-        """A block checked by the rule of :class:`Snapshot` and encoded once,
-        as the ``(B, N)`` transposed codes every strategy reads."""
-        return snapshot_codes(*_coerce_block(axes, bits, self._n_qubits), self._part)
-
     def estimates(self) -> dict[int, MomentEstimate]:
         """Current per-order estimates (undefined entries carry NaN values)."""
-        out: dict[int, MomentEstimate] = {}
-        for m in self.orders:
-            if m > 1:
-                out[m] = self._estimator.estimate(m)
-            elif self._shots >= 1:
-                out[1] = MomentEstimate(1, self._shots, 1.0, True)
-            else:
-                out[1] = _undefined(1, self._shots)
-        return out
+        one = MomentEstimate(1, self._shots, 1.0, True) if self._shots else _undefined(1, 0)
+        return {m: self._estimator.estimate(m) if m > 1 else one for m in self.orders}
 
 
 # -- checkpointing -------------------------------------------------------

@@ -29,9 +29,9 @@ with defaults)::
 :func:`shadowstream.states.load_density_matrix`: a JSON object with
 ``n_qubits`` and a row-major ``matrix`` list of ``[re, im]`` pairs.
 
-Each run streams shots, updates every selected estimator, applies the
-stopping rule to the primary (first-listed) strategy, and records
-checkpoints.  Shots are estimated in blocks of 64, 128, then
+Each run streams shots, encodes each once for all selected estimators,
+applies the stopping rule to the primary (first-listed) strategy, and
+records checkpoints.  Shots are estimated in blocks of 64, 128, then
 ``BLOCK_SHOTS`` and drawn in coarser sampling chunks (see
 :func:`_shot_blocks`); neither size changes a byte of the output.
 Streaming strategies are read, and feed their stopping
@@ -65,7 +65,7 @@ import numpy as np
 from ._version import __version__
 from .certify import EspVector, certification_verdict, newton_girard
 from .errors import InvalidStateError
-from .estimators import MomentStream, _usable_cpus, check_strategy
+from .estimators import MomentStream, _CodeRecord, _usable_cpus, check_strategy
 from .sampler import (  # shot_rng: unused here, but perfbench/layers.py wraps runner.shot_rng
     BLOCK_SHOTS,
     BornSampler,
@@ -441,28 +441,22 @@ def _paced_reads(stream: MomentStream, axes, bits, shots, reads, observe):
     reports a stop.  Returns the rows read, their estimates and the stop
     row (or None).
     """
-    rows, values, defined = [], [], []
+    values, defined = [], []
     done, stop = 0, None
     for row in reads.tolist():
         stream.advance(axes[done : row + 1], bits[done : row + 1])
         done = row + 1
         estimates = stream.estimates()
-        rows.append(row)
         values.append([estimates[m].value for m in stream.orders])
         defined.append([estimates[m].well_defined for m in stream.orders])
-        last = slice(row, row + 1)
-        if observe(shots[last], np.array(values[-1:]), np.array(defined[-1:])) is not None:
+        if observe(shots[row : row + 1], np.array(values[-1:]), np.array(defined[-1:])) is not None:
             stop = row
             break
     else:
         stream.advance(axes[done:], bits[done:])
     width = len(stream.orders)
-    return (
-        np.array(rows, dtype=np.intp),
-        np.array(values, dtype=np.float64).reshape(-1, width),
-        np.array(defined, dtype=bool).reshape(-1, width),
-        stop,
-    )
+    values = np.array(values, dtype=np.float64).reshape(-1, width)
+    return reads[: len(values)], values, np.array(defined, dtype=bool).reshape(-1, width), stop
 
 
 def _run_single(config: ExperimentConfig, run: int, threads: int | None = None) -> list[dict]:
@@ -475,8 +469,9 @@ def _run_single(config: ExperimentConfig, run: int, threads: int | None = None) 
     sampler = BornSampler(_build_state(config))
     part = _transposed_qubits(config)
     n = sampler.n_qubits
+    record = _CodeRecord(part, n)  # every stream reads each shot's codes here
     streams = {
-        name: MomentStream(name, config.orders, part, n, config.n_batches, threads)
+        name: MomentStream(name, config.orders, part, n, config.n_batches, threads, record)
         for name in config.strategies
     }
     monitors = {

@@ -117,6 +117,13 @@ def _coerce_fields(values, what: str, upper: int) -> np.ndarray:
     return _block_field(arr, f"{what} entries must be integers 0 to {upper - 1}", upper, copy=True)
 
 
+def _grown(rows: np.ndarray, done: int, total: int) -> np.ndarray:
+    """A copy of the first ``done`` rows, memory order kept, with room for at least ``total``."""
+    grown = np.empty_like(rows, shape=(max(16, 2 * total),) + rows.shape[1:])
+    grown[:done] = rows[:done]
+    return grown
+
+
 def _coerce_block(axes, bits, n_qubits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(B, N)`` axes and bits as ``uint8`` arrays, checked by the rule of
     :class:`Snapshot` row for row: matching 2-D shapes, ``n_qubits``
@@ -497,22 +504,12 @@ class ShadowRecord:
 
     def append(self, snapshot: Snapshot) -> None:
         if snapshot.n_qubits != self._n:
-            raise ValueError(
-                f"snapshot has {snapshot.n_qubits} qubits, record has {self._n}"
-            )
-        self._reserve(self._len + 1)
-        self._axes[self._len] = snapshot.axes
-        self._bits[self._len] = snapshot.bits
+            raise ValueError(f"snapshot has {snapshot.n_qubits} qubits, record has {self._n}")
+        done = self._len
+        if done == len(self._axes):
+            self._axes, self._bits = (_grown(a, done, done + 1) for a in (self._axes, self._bits))
+        self._axes[done], self._bits[done] = snapshot.axes, snapshot.bits
         self._len += 1
-
-    def _reserve(self, total: int) -> None:
-        """Room for ``total`` shots, the capacity at least doubling when it grows."""
-        if total > self._axes.shape[0]:
-            capacity = max(16, 2 * self._axes.shape[0], total)
-            for name in ("_axes", "_bits"):
-                grown = np.empty((capacity, self._n), dtype=np.uint8)
-                grown[: self._len] = getattr(self, name)[: self._len]
-                setattr(self, name, grown)
 
     def extend(self, snapshots) -> None:
         for s in snapshots:
@@ -642,17 +639,20 @@ class ShadowRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ShadowRecord":
-        """Decode :meth:`to_json` output; a malformed document raises
-        :class:`ValueError`."""
+        """Decode :meth:`to_json` output; a malformed document, one with a
+        version other than 1 or non-integer counts among them, raises :class:`ValueError`."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.get("format") != "shadow-record":
             raise ValueError("not a shadow-record JSON document")
         try:
-            n = int(payload["n_qubits"])
-            count = int(payload["count"])
+            n, count = payload["n_qubits"], payload["count"]
             shots = [(shot["axes"], shot["bits"]) for shot in payload["shots"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed shadow-record JSON: {exc!r}") from None
+        version = payload.get("version", cls._VERSION)
+        if any(type(v) is not int for v in (n, count, version)) or version != cls._VERSION:
+            raise ValueError(f"malformed shadow-record JSON: n_qubits {n!r} and count {count!r} "
+                             f"must be integers, version {version!r} must be 1 or absent")
         if n < 1 or count != len(shots):
             raise ValueError(
                 f"shadow-record JSON with n_qubits {n} and count {count} "

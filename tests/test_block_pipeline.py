@@ -242,7 +242,7 @@ class TestRecordTrajectory:
         assert np.concatenate(got).tobytes() == expected.tobytes()
         assert np.array_equal(np.concatenate(seen), ~np.isnan(expected))
         assert block.shots == one.shots == count
-        assert block._estimator._codes[:count].tobytes() == one._estimator._codes[:count].tobytes()
+        assert block._record[:].tobytes() == one._record[:].tobytes()
         assert same_estimates(block.estimates(), one.estimates())
 
     @pytest.mark.parametrize("orders", [(1, 2, 3), (2, 3, 4)])
@@ -307,6 +307,7 @@ MALFORMED = {
     "axis 3": ([[3, 0]], [[0, 1]]),
     "three qubits": ([[0, 1, 2]], [[0, 1, 0]]),
     "one-dimensional": ([0, 1], [0, 1]),
+    "scalars": (1, 0),
     "shapes differ": ([[0, 1]], [[0, 1], [1, 0]]),
     "axis 256": ([[256, 0]], [[0, 1]]),
     "bit -1": ([[1, 0]], [[0, -1]]),
@@ -595,3 +596,80 @@ def test_runs_stopping_inside_the_first_chunk(tolerance, window, stop, monkeypat
     assert calls == [(0, 448)]
     reference = with_run_keys(config, 0, per_shot_run(config, 0))
     assert json.dumps(block, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+class TestOneRecordPerRun:
+    """The streams of a run share one code record: every shot is checked
+    and encoded once, whatever the number of strategies, and each strategy's
+    trace is the one it has alone."""
+
+    # (strategies, stop_on_convergence, rows encoded).  A streaming primary
+    # absorbs the whole 64..192 block that holds its stop shot, 164; a
+    # checkpoint-paced one stops reading at its stop shot, 329.
+    CASES = [
+        (("online-norecon", "ustat", "batched"), True, 192),
+        (("online-norecon", "ustat", "batched"), False, 600),
+        (("ustat", "online-recon"), True, 329),
+    ]
+
+    @pytest.mark.parametrize("strategies, stop, rows", CASES)
+    def test_each_shot_is_encoded_once(self, monkeypatch, strategies, stop, rows):
+        config = ExperimentConfig(n_qubits=2, t=0.8, shots=600, runs=1, seed=23, n_batches=4,
+                                  strategies=strategies, stop_on_convergence=stop,
+                                  tolerance=0.05, window=5, stride_dense=7).validated()
+        encoded, streams = [], []
+        encode, stream = shadowstream.estimators.snapshot_codes, shadowstream.runner.MomentStream
+        monkeypatch.setattr(shadowstream.estimators, "snapshot_codes",
+                            lambda axes, *args: encoded.append(len(axes)) or encode(axes, *args))
+        monkeypatch.setattr(shadowstream.runner, "MomentStream",
+                            lambda *args: streams.append(stream(*args)) or streams[-1])
+        traces = _run_single(config, 0)
+        records = {id(s._record) for s in streams}
+        assert len(records) == 1 and len(streams) == len(strategies)
+        assert sum(encoded) == max(s.shots for s in streams) == streams[0]._record.shots == rows
+        stop_shot = traces[0]["stop_shot"]
+        assert (stop_shot is not None) == stop
+        monkeypatch.undo()
+        for i, (name, trace) in enumerate(zip(strategies, traces)):
+            # Alone, a non-primary strategy of a stopped run reads the shots
+            # up to the stop shot, which is then its last checkpoint.
+            alone = replace(config, strategies=(name,))
+            if i and stop:
+                alone = replace(alone, stop_on_convergence=False, shots=stop_shot)
+            (expected,) = _run_single(alone, 0)
+            assert json.dumps({**trace, "stop_shot": None}) == json.dumps(
+                {**expected, "stop_shot": None}
+            )
+            assert trace["stop_shot"] == stop_shot
+
+    def test_a_shared_record_encodes_rows_it_lacks(self, monkeypatch):
+        # Streams fed ragged blocks of one run's shots: the one ahead encodes,
+        # the other reads the rows held, and each equals a stream of its own.
+        axes, bits = random_block(4, 120, seed=8)
+        record = shadowstream.estimators._CodeRecord((2, 3), 4)
+        shared = [MomentStream(s, (2, 3), (2, 3), 4, 4, None, record) for s in STRATEGIES]
+        alone = [MomentStream(s, (2, 3), (2, 3), 4, 4) for s in STRATEGIES]
+        encoded = []
+        encode = shadowstream.estimators.snapshot_codes
+        monkeypatch.setattr(shadowstream.estimators, "snapshot_codes",
+                            lambda axes, *args: encoded.append(len(axes)) or encode(axes, *args))
+        for i, stream in enumerate(shared):
+            for lo, hi in ragged_blocks(120 - 10 * i, (7 + i, 30, 64)):
+                stream.trajectory(axes[lo:hi], bits[lo:hi])
+        monkeypatch.undo()
+        assert sum(encoded) == record.shots == 120
+        for i, (one, other) in enumerate(zip(shared, alone)):
+            other.advance(axes[: 120 - 10 * i], bits[: 120 - 10 * i])
+            assert one.shots == other.shots and same_estimates(one.estimates(), other.estimates())
+        assert record[:].tobytes() == snapshot_codes(axes, bits, (2, 3)).tobytes()
+
+    def test_a_gap_in_the_record_raises(self):
+        record = shadowstream.estimators._CodeRecord((0,), 2)
+        record.put(np.zeros((3, 2), dtype=np.uint8), 0)
+        with pytest.raises(ValueError, match="gap"):
+            record.put(np.zeros((1, 2), dtype=np.uint8), 4)
+        blank = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError, match="gap"):
+            record.encode(blank, blank, 5)
+        assert record.shots == 3
+        assert record.encode(blank, blank, 3).shape == (2, 2) and record.shots == 5

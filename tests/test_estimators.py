@@ -41,7 +41,7 @@ from shadowstream import (
     ustat_offline,
     werner_state,
 )
-from shadowstream.estimators import _pack_state, _RecordSums, _unpack_state
+from shadowstream.estimators import _CodeRecord, _pack_state, _RecordSums, _unpack_state
 from shadowstream.kernel import (
     CHAIN_NUMERATORS,
     batch_code_traces,
@@ -297,6 +297,45 @@ class TestOnlineRecordEstimator:
         assert online.estimate().well_defined
 
 
+class TestRebuiltRecord:
+    """``OnlineRecordEstimator`` keeps its shots only as transposed codes
+    and rebuilds ``record`` from them: axes, bits, seed and descriptor."""
+
+    @staticmethod
+    def fed_record(n, part, seed):
+        rng = np.random.default_rng(seed)
+        axes, bits = rng.integers(0, 3, (40, n)), rng.integers(0, 2, (40, n))
+        axes[:, list(part)] = np.where(rng.random((40, len(part))) < 0.5, 1, axes[:, list(part)])
+        assert not part or ((axes[:, list(part)] == 1) & (bits[:, list(part)] == 1)).any()
+        return ShadowRecord.from_arrays(axes, bits, seed=seed, descriptor=f"{n} qubits")
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("which", ["none", "half", "all"])
+    def test_fed_and_resumed_records_come_back(self, monkeypatch, n, which):
+        part = {"none": (), "half": tuple(range(n // 2, n)), "all": tuple(range(n))}[which]
+        record = self.fed_record(n, part, seed=10 * n + len(part))
+        resumed = OnlineRecordEstimator(2, part, n, record=record[:15])
+        fed = OnlineRecordEstimator(3, part, n)
+        built = []
+
+        class CountingRecord(ShadowRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(shadowstream.estimators, "ShadowRecord", CountingRecord)
+        for snap in record:
+            fed.update(snap)
+        for snap in list(record)[15:]:
+            resumed.update(snap)
+        assert built == []
+        monkeypatch.undo()
+        assert resumed.record == record
+        assert fed.record == ShadowRecord.from_arrays(record.axes, record.bits)
+        assert resumed.record.to_bytes() == record.to_bytes()
+        assert fed.shots == resumed.shots == 40
+
+
 class TestIncrementalCodes:
     @pytest.fixture
     def encoded_rows(self, monkeypatch):
@@ -374,6 +413,13 @@ def closed_tuple_fresh(codes, latest, m, table):
     return fresh
 
 
+def record_sums(n, sums):
+    """A ``_RecordSums`` over a fresh code record, and the function that
+    appends rows of transposed codes to the record and returns them."""
+    record = _CodeRecord((), n)
+    return _RecordSums(record, sums), lambda codes: record.put(codes, record.shots)
+
+
 class TestClosingShotFold:
     """``_RecordSums`` folds the new shot into the chain tables and groups
     qubits; its fresh sums equal the closed-tuple evaluation byte for byte."""
@@ -388,13 +434,13 @@ class TestClosingShotFold:
         record = random_record(n, shots, seed)
         part = tuple(range(0, n, 2))
         codes = snapshot_codes(record.axes, record.bits, part)
-        sums = _RecordSums(n, {m: 0j})
+        sums, feed = record_sums(n, {m: 0j})
         for t in range(shots):
-            sums.advance(codes[t : t + 1])
+            sums.advance(feed(codes[t : t + 1]))
             if t + 1 < m or (checked is not None and t not in checked):
                 continue
             want = closed_tuple_fresh(codes, t, m, chain_trace_table(m) if table is None else table)
-            got = sums._fresh(m, t, closing_tables(m, sums._codes[t], sums._widths[m]))
+            got = sums._fresh(m, t, closing_tables(m, codes[t], sums._widths[m]))
             if rounding:
                 moduli = closed_tuple_fresh(codes, t, m, np.abs(table) + 0j).real
                 k = 3 * (math.comb(t, m - 1) + n) * 2.0**-53
@@ -456,9 +502,9 @@ class TestClosingShotFold:
         record = random_record(2, 10, seed=7)
         codes = snapshot_codes(record.axes, record.bits, PART)
         factors = factors_from_codes(codes)
-        sums = _RecordSums(2, {7: 0j})
+        sums, feed = record_sums(2, {7: 0j})
         for t in range(10):
-            sums.advance(codes[t : t + 1])
+            sums.advance(feed(codes[t : t + 1]))
             if t < 6:
                 continue
             want = 0.0 + 0.0j
@@ -503,16 +549,16 @@ class TestRecordEngineLayout:
     @pytest.mark.parametrize("n, shots", sorted(DIGESTS))
     def test_streamed_sums_keep_their_bits(self, n, shots):
         codes = np.random.default_rng(n).integers(0, 6, (shots, n)).astype(np.uint8)
-        sums = _RecordSums(n, {2: 0j, 3: 0j})
+        sums, feed = record_sums(n, {2: 0j, 3: 0j})
         trail = []
         for t in range(shots):
-            sums.advance(codes[t : t + 1])
+            sums.advance(feed(codes[t : t + 1]))
             trail.append([sums.sums[2], sums.sums[3]])
         digest = hashlib.sha256(np.array(trail, dtype=np.complex128).tobytes()).hexdigest()
         assert digest[:16] == self.DIGESTS[n, shots]
-        blocks = _RecordSums(n, {2: 0j, 3: 0j})
+        blocks, feed = record_sums(n, {2: 0j, 3: 0j})
         for lo in range(0, shots, 32):
-            blocks.trajectory(codes[lo : lo + 32], [2, 3])
+            blocks.trajectory(feed(codes[lo : lo + 32]), [2, 3])
         assert [blocks.sums[2], blocks.sums[3]] == trail[-1]
 
     def test_each_grouped_table_is_built_once(self, monkeypatch):
@@ -524,7 +570,8 @@ class TestRecordEngineLayout:
         )
         for n in (3, 4, 3, 4):
             codes = np.random.default_rng(n).integers(0, 6, (30, n)).astype(np.uint8)
-            _RecordSums(n, {2: 0j, 3: 0j}).advance(codes)
+            sums, feed = record_sums(n, {2: 0j, 3: 0j})
+            sums.advance(feed(codes))
             ustat_offline(random_record(n, 12, seed=n), 3, (0,))
         # (order, qubits per group, real qubits of the group)
         assert sorted(built) == [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]
@@ -1103,7 +1150,7 @@ class TestMomentStream:
             stream.update(snap)
         assert created == []
         codes = snapshot_codes(record.axes[:12], record.bits[:12], PART)
-        assert stream._estimator._codes[: stream.shots].tobytes() == codes.tobytes()
+        assert stream._record[:].tobytes() == codes.tobytes()
         estimates = stream.estimates()
         for order in (2, 3, 4):
             reference = ustat_offline(record[:12], order, PART).value
@@ -1263,7 +1310,7 @@ class TestCheckpointDecoding:
 
     def test_only_checkpointable_strategies_pack(self):
         with pytest.raises(TypeError, match="cannot checkpoint _RecordSums"):
-            _pack_state(_RecordSums(2, {2: 0j}))
+            _pack_state(record_sums(2, {2: 0j})[0])
 
     def test_zero_qubit_accumulators_are_rejected(self):
         # Order 2, N = 0, no shots, an empty part list and one 1x1 matrix

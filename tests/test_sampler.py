@@ -553,6 +553,14 @@ class TestRecordDecoding:
             ({"seed": -1}, "seed"),
             ({"seed": "7"}, "seed"),
             ({"descriptor": 5}, "descriptor"),
+            ({"n_qubits": 2.9}, "malformed"),
+            ({"n_qubits": "2"}, "malformed"),
+            ({"n_qubits": True}, "malformed"),
+            ({"count": 1.5}, "malformed"),
+            ({"count": "1"}, "malformed"),
+            ({"version": 7}, "version"),
+            ({"version": None}, "version"),
+            ({"version": True}, "version"),
         ],
     )
     def test_malformed_json_raises_value_error(self, payload, message):
@@ -565,6 +573,14 @@ class TestRecordDecoding:
         }
         with pytest.raises(ValueError, match=message):
             ShadowRecord.from_json(json.dumps({**doc, **payload}))
+
+    @pytest.mark.parametrize("version", [{}, {"version": 1}])
+    def test_version_one_or_none_loads(self, version):
+        doc = {"format": "shadow-record", "n_qubits": 2, "count": 1, "seed": 4,
+               "shots": [{"axes": "ZY", "bits": "10"}], **version}
+        assert ShadowRecord.from_json(json.dumps(doc)) == ShadowRecord.from_arrays(
+            [[2, 1]], [[1, 0]], seed=4
+        )
 
     def test_missing_key_and_foreign_documents(self):
         with pytest.raises(ValueError, match="malformed"):
